@@ -3,7 +3,11 @@
 An element of R+(N<=Omega) is an integer combination of conjugacy classes
 [H, chi] of pairs (subgroup, 1-dimensional character) with H >= N.  The
 map phi sends [H, chi] to the induced character Ind_H^Omega(chi); its
-kernel is computed exactly by integer linear algebra.
+kernel is computed exactly by integer linear algebra.  The matrix of phi
+(irreducible coordinates of each induced pair) comes from the integer
+character table of `characters`: class counts of H dotted with the dual
+rows of the trace form, with no cyclotomic arithmetic.  `brauer_map`
+still returns phi(x) as an exact cyclotomic class function.
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ from .characters import (
     Character,
     ClassFunction,
     character,
+    character_table,
     characters_of,
     conjugate_character,
     decompose,
     induce,
-    irreducible_characters,
     subgroup_classes,
     trivial_character,
     zero_class_function,
@@ -408,15 +412,36 @@ def decompose_on(f: ClassFunction):
     return decompose(ClassFunction(full_subgroup(inner), f.values))
 
 
+def _ambient_table(ambient: Subgroup):
+    """The ambient's integer character table and the relabelling of its
+    elements onto the table's group (None for the whole group)."""
+    if ambient.order == ambient.parent.order:
+        return character_table(ambient.parent), None
+    label = {x: i for i, x in enumerate(ambient.elements)}
+    return character_table(ambient.as_group), label
+
+
+def phi_coordinates(x: RPlusElement) -> list[int]:
+    """Irreducible coordinates of phi(x) over its ambient, in integers."""
+    table, label = _ambient_table(x.ambient)
+    total = [0] * len(table.characters)
+    for cls, n in x.coefficients:
+        for i, c in enumerate(table.induced_coordinates(cls.char, label)):
+            total[i] += n * c
+    return total
+
+
 @lru_cache(maxsize=None)
 def _phi_matrix(ambient: Subgroup, lower: Subgroup):
-    """Columns: pair classes; rows: irreducible coordinates of phi."""
+    """Columns: pair classes; rows: irreducible coordinates of phi.
+
+    Each column comes straight from class counts of the pair's subgroup
+    through the ambient's integer character table (on its abstract copy,
+    relabelled as in decompose_on), with no cyclotomic arithmetic.
+    """
     classes = pair_classes(ambient, lower)
-    cols = []
-    for cls in classes:
-        coords = decompose_on(_phi_generator(cls))
-        assert all(c.denominator == 1 for c in coords)
-        cols.append([int(c) for c in coords])
+    table, label = _ambient_table(ambient)
+    cols = [table.induced_coordinates(cls.char, label) for cls in classes]
     n_rows = len(cols[0]) if cols else 0
     matrix = [[cols[j][i] for j in range(len(cols))] for i in range(n_rows)]
     return classes, matrix

@@ -4,6 +4,11 @@ Characters are stored as exponent vectors: chi(x) = zeta_m^k with
 m = exp(H/[H,H]) fixed per subgroup, which makes equality and canonical
 ordering cheap.  Class functions carry exact cyclotomic values per
 conjugacy class of their (sub)group.
+
+The irreducible characters live in an integer character table: values in
+Z[x]/(x^e - 1) for the group exponent e, with inner products, the zero
+test and decompositions done by the integer trace form (see
+CharacterTable).  They are converted to cyclotomic class functions once.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, trace_row
 from .errors import NotASubgroup
 from .groups import (
     Group,
@@ -25,6 +30,7 @@ from .groups import (
     full_subgroup,
     quotient,
     subgroup,
+    subgroup_class_reps,
 )
 
 
@@ -317,7 +323,7 @@ class ClassFunction:
     __rmul__ = __mul__
 
     def sort_key(self):
-        return tuple(str((v.shrink().m, v.shrink().coeffs)) for v in self.values)
+        return tuple(str((s.m, s.coeffs)) for s in map(Cyclotomic.shrink, self.values))
 
     def __repr__(self):
         return f"ClassFunction({self.values})"
@@ -380,48 +386,177 @@ def induce_class_function(f: ClassFunction, target: Subgroup) -> ClassFunction:
 
 
 # ---------------------------------------------------------------------------
-# irreducible characters
+# the integer character table
+#
+# Every character value of a group of exponent e lies in Z[zeta_e], held
+# here as an integer vector mod x^e - 1 (not reduced mod Phi_e, so not
+# unique).  A class function is flattened to one vector over the pairs
+# (class, power of zeta_e).  Inner products go through the trace form:
+#     |G| Tr <f, psi> = sum_classes |cl| sum_{a,b} f_a psi_b c_e(a - b),
+# with c_e(k) = Tr(zeta_e^k) the Ramanujan sum, so <f, psi> = Tr/phi(e)
+# whenever it is rational.  Every conjugate of <h, h> is a sum of squared
+# absolute values, so Tr <h, h> is positive unless h = 0: it decides the
+# zero test exactly.
+
+
+def _dot(u, v) -> int:
+    return sum(x * y for x, y in zip(u, v) if x)
+
+
+def _dual_row(vec, sizes, trace) -> list[int]:
+    """W_f at each (class, a): |cl| Tr(zeta^a conj f(cl)), so that
+    f' . W_f = |G| Tr <f', f>."""
+    e = len(trace)
+    out = []
+    for c, size in enumerate(sizes):
+        terms = [(b, x) for b, x in enumerate(vec[c * e : (c + 1) * e]) if x]
+        out.extend(
+            size * sum(x * trace[(a - b) % e] for b, x in terms)
+            for a in range(e)
+        )
+    return out
+
+
+class CharacterTable:
+    """The irreducible characters of a group as integer vectors.
+
+    `characters` are the irreducibles as ClassFunctions, sorted by
+    (dimension, sort_key); `vectors[i]` is characters[i] flattened over
+    (class, power of zeta_e) and `duals[i]` its dual row, so that
+    <f, characters[i]> = f . duals[i] / scale with scale = |G| phi(e).
+    """
+
+    def __init__(self, g: Group):
+        self.group = g
+        self.exponent = lcm(*(g.element_order(cls[0]) for cls in g.conjugacy_classes))
+        self.sizes = tuple(len(cls) for cls in g.conjugacy_classes)
+        self.trace = trace_row(self.exponent)
+        self.scale = g.order * self.trace[0]
+        vectors, duals = self._irreducibles()
+        e, full = self.exponent, full_subgroup(g)
+        funcs = [
+            ClassFunction(
+                full,
+                tuple(
+                    Cyclotomic(e, vec[c * e : (c + 1) * e])
+                    for c in range(len(self.sizes))
+                ),
+            )
+            for vec in vectors
+        ]
+        order = sorted(
+            range(len(funcs)),
+            key=lambda i: (funcs[i].dimension(), funcs[i].sort_key()),
+        )
+        self.characters = tuple(funcs[i] for i in order)
+        self.vectors = tuple(vectors[i] for i in order)
+        self.duals = tuple(duals[i] for i in order)
+
+    def _induced_counts(self, chi: Character, label=None) -> dict[int, int]:
+        """|H| Ind_H^G(chi), sparse over (class, a): each y in H adds
+        |C_G(y)| at zeta_e^(k(y) e/m).  `label` maps the elements of H to
+        this table's group when H lives in a larger parent."""
+        e = self.exponent
+        class_of = self.group.class_of
+        step = e // chi.modulus
+        counts: dict[int, int] = {}
+        for y, k in zip(chi.domain.elements, chi.exponents):
+            c = class_of[y if label is None else label[y]]
+            key = c * e + k * step
+            counts[key] = counts.get(key, 0) + self.group.order // self.sizes[c]
+        return counts
+
+    def induced_coordinates(self, chi: Character, label=None) -> list[int]:
+        """Irreducible coordinates of Ind_H^G(chi), exactly in integers."""
+        counts = self._induced_counts(chi, label).items()
+        den = chi.domain.order * self.scale
+        out = []
+        for dual in self.duals:
+            q, r = divmod(sum(dual[i] * n for i, n in counts), den)
+            if r:
+                raise ArithmeticError("induced character has a non-integral coordinate")
+            out.append(q)
+        return out
+
+    def coordinates(self, values) -> tuple[Fraction, ...]:
+        """Irreducible coordinates of the class function with these values.
+
+        Raises ValueError when a coordinate is not rational: a value lies
+        outside Q(zeta_e), or the guard Tr <h, h> = 0 for
+        h = f - sum c_i chi_i fails.
+        """
+        e = self.exponent
+        values = [v if e % v.m == 0 else v.shrink() for v in values]
+        if any(e % v.m for v in values):
+            raise ValueError("class function has values outside Q(zeta_e)")
+        den = lcm(*(c.denominator for v in values for c in v.coeffs))
+        vec = [0] * (len(values) * e)
+        for c, v in enumerate(values):
+            step = e // v.m
+            for k, x in enumerate(v.coeffs):
+                vec[c * e + k * step] += int(x * den)
+        nums = [_dot(vec, dual) for dual in self.duals]
+        rest = [self.scale * x for x in vec]
+        for n, psi in zip(nums, self.vectors):
+            if n:
+                rest = [x - n * y for x, y in zip(rest, psi)]
+        if any(rest) and _dot(rest, _dual_row(rest, self.sizes, self.trace)):
+            raise ValueError("class function has non-rational irreducible coordinates")
+        return tuple(Fraction(n, den * self.scale) for n in nums)
+
+    def _irreducibles(self):
+        """Decompose inductions of 1-dimensional characters of subgroups,
+        largest subgroups first.
+
+        At induction dimension d every unknown constituent has dimension
+        exactly d (anything smaller is itself monomial of smaller induction
+        dimension, hence already found), so each nonzero remainder is a
+        single new irreducible.  This is complete for the catalog, whose
+        groups are all M-groups.
+        """
+        vectors: list[list[int]] = []
+        duals: list[list[int]] = []
+        reps = sorted(subgroup_class_reps(self.group), key=lambda h: -h.order)
+        for h in reps:
+            for chi in characters_of(h):
+                if len(vectors) == len(self.sizes):
+                    return vectors, duals
+                f = [0] * (len(self.sizes) * self.exponent)
+                for i, n in self._induced_counts(chi).items():
+                    f[i], r = divmod(n, h.order)
+                    if r:
+                        raise AssertionError("induced character is not integral")
+                for vec, dual in zip(vectors, duals):
+                    coeff, r = divmod(_dot(f, dual), self.scale)
+                    if r:
+                        raise AssertionError("non-integral multiplicity")
+                    if coeff:
+                        f = [x - coeff * y for x, y in zip(f, vec)]
+                dual = _dual_row(f, self.sizes, self.trace)
+                norm = _dot(f, dual)
+                if norm:
+                    if norm != self.scale:
+                        raise AssertionError("remainder is not a single irreducible")
+                    vectors.append(f)
+                    duals.append(dual)
+        if len(vectors) != len(self.sizes):
+            raise AssertionError("irreducible search incomplete")
+        return vectors, duals
 
 
 @lru_cache(maxsize=None)
+def character_table(g: Group) -> CharacterTable:
+    return CharacterTable(g)
+
+
 def irreducible_characters(g: Group) -> tuple[ClassFunction, ...]:
-    """All irreducible characters, obtained by decomposing inductions of
-    1-dimensional characters of subgroups, largest subgroups first.
-
-    At induction dimension d every unknown constituent has dimension
-    exactly d (anything smaller is itself monomial of smaller induction
-    dimension, hence already found), so each nonzero remainder is a
-    single new irreducible.  This is complete for the catalog, whose
-    groups are all M-groups.
-    """
-    from .groups import subgroup_class_reps
-
-    full = full_subgroup(g)
-    n_classes = len(subgroup_classes(full))
-    irr: list[ClassFunction] = []
-    reps = sorted(subgroup_class_reps(g), key=lambda h: -h.order)
-    for h in reps:
-        for chi in characters_of(h):
-            if len(irr) == n_classes:
-                break
-            f = induce(chi, full)
-            for known in irr:
-                coeff = inner_product(f, known).as_rational()
-                assert coeff.denominator == 1
-                if coeff:
-                    f = f - int(coeff) * known
-            if not f.is_zero():
-                norm = inner_product(f, f).as_rational()
-                assert norm == 1, "remainder is not a single irreducible"
-                irr.append(f)
-    assert len(irr) == n_classes, "irreducible search incomplete"
-    return tuple(sorted(irr, key=lambda f: (f.dimension(), f.sort_key())))
+    """All irreducible characters, sorted by (dimension, sort_key)."""
+    return character_table(g).characters
 
 
 def decompose(f: ClassFunction) -> tuple[Fraction, ...]:
     """Coordinates of f in the irreducible basis of its full group."""
     g = f.group
-    assert f.domain == full_subgroup(g)
-    return tuple(
-        inner_product(f, chi).as_rational() for chi in irreducible_characters(g)
-    )
+    if f.domain != full_subgroup(g):
+        raise NotASubgroup(f"{f.domain} is not the whole group")
+    return character_table(g).coordinates(f.values)

@@ -12,16 +12,59 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from sympy import cyclotomic_poly, symbols
 
-_x = symbols("x")
+def _is_prime(m: int) -> bool:
+    return m > 1 and all(m % d for d in range(2, int(m**0.5) + 1))
+
+
+def _mobius(n: int) -> int:
+    sign = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
 
 
 @lru_cache(maxsize=None)
 def _cyclo_coeffs(m: int) -> tuple[Fraction, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, ascending degree."""
-    poly = cyclotomic_poly(m, _x).as_poly(_x)
-    return tuple(Fraction(int(c)) for c in reversed(poly.all_coeffs()))
+    """Coefficients of the m-th cyclotomic polynomial, ascending degree.
+
+    Phi_m = prod_{d | m} (x^d - 1)^mu(m/d): multiply out the factors with
+    mu = 1, then divide exactly by the binomials with mu = -1.
+    """
+    poly = [1]
+    divide_by = []
+    for d in _divisors(m):
+        mu = _mobius(m // d)
+        if mu == 1:
+            out = [-c for c in poly] + [0] * d
+            for i, c in enumerate(poly):
+                out[i + d] += c
+            poly = out
+        elif mu == -1:
+            divide_by.append(d)
+    for d in divide_by:
+        # poly = q * (x^d - 1), i.e. poly[i] = q[i - d] - q[i]
+        q = [0] * (len(poly) - d)
+        for i in range(len(q)):
+            q[i] = (q[i - d] if i >= d else 0) - poly[i]
+        poly = q
+    return tuple(Fraction(c) for c in poly)
+
+
+@lru_cache(maxsize=None)
+def trace_row(m: int) -> tuple[int, ...]:
+    """Tr_{Q(zeta_m)/Q}(zeta_m^k) for k < m: the Ramanujan sums
+    c_m(k) = sum over d | gcd(k, m) of d * mu(m/d); c_m(0) = phi(m)."""
+    return tuple(
+        sum(d * _mobius(m // d) for d in _divisors(gcd(k, m)))
+        for k in range(m)
+    )
 
 
 def _poly_trim(coeffs: list[Fraction]) -> list[Fraction]:
@@ -243,14 +286,9 @@ class Cyclotomic:
     def shrink(self) -> "Cyclotomic":
         """Smallest modulus d | m (same squarefree trick not attempted:
         just try all divisors) that contains this element."""
-        for d in sorted(_divisors(self.m)):
-            if d == self.m:
-                break
-            # The element lies in Q(zeta_d) iff it is fixed by every Galois
-            # automorphism that fixes Q(zeta_d) pointwise.
-            if _fixed_by_subfield(self, d):
-                return _project_to(self, d)
-        return self
+        if len(self.coeffs) <= 1:
+            return Cyclotomic(1, self.coeffs)
+        return _shrink(self.m, self.coeffs)
 
     # -- misc ------------------------------------------------------------
 
@@ -277,6 +315,20 @@ def _coerce(value, m: int) -> Cyclotomic:
 @lru_cache(maxsize=None)
 def _divisors(n: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, n + 1) if n % d == 0)
+
+
+@lru_cache(maxsize=None)
+def _shrink(m: int, coeffs: tuple[Fraction, ...]) -> Cyclotomic:
+    """Cyclotomic.shrink, memoised on the reduced representation."""
+    x = Cyclotomic(m, coeffs)
+    for d in sorted(_divisors(m)):
+        if d == m:
+            break
+        # The element lies in Q(zeta_d) iff it is fixed by every Galois
+        # automorphism that fixes Q(zeta_d) pointwise.
+        if _fixed_by_subfield(x, d):
+            return _project_to(x, d)
+    return x
 
 
 def _galois_apply(x: Cyclotomic, t: int) -> Cyclotomic:

@@ -45,6 +45,15 @@ class NoSolution(MonomialError):
     signals a bug or a violated precondition, never expected behaviour."""
 
 
+class CertificateFailed(MonomialError):
+    """An exact check behind a verdict failed; carries the offending object
+    (for the kernel-lattice verdict, the relation) as its witness."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 # --- type3 --------------------------------------------------------------
 
 

@@ -34,6 +34,7 @@ from .characters import (
     subgroup_classes,
     trivial_character,
 )
+from .cyclotomic import _is_prime
 from .errors import ConditionsViolated, MissingValue
 from .groups import (
     Group,
@@ -51,7 +52,6 @@ from .groups import (
     trivial_subgroup,
 )
 from .relations import (
-    _is_prime,
     _is_normal_in,
     _orbit_reps_mod_h,
     _subgroups_of,

@@ -324,12 +324,6 @@ def is_normal(g: Group, h: Subgroup) -> bool:
     return all(conjugate_subgroup(h, x) == h for x in range(g.order))
 
 
-def normalizer(g: Group, h: Subgroup) -> Subgroup:
-    return subgroup(
-        g, [x for x in range(g.order) if conjugate_subgroup(h, x) == h]
-    )
-
-
 def centralizer(g: Group, h: Subgroup) -> Subgroup:
     return subgroup(
         g,

@@ -159,11 +159,16 @@ def solve(a: list[list[int]], b: list[int]) -> list[int] | None:
     cols = len(a[0]) if rows else 0
     if rows == 0:
         return [0] * cols if all(x == 0 for x in b) else None
-    snf = smith_normal_form(a)
+    return _solve_snf(smith_normal_form(a), b)
+
+
+def _solve_snf(snf: SNFResult, b: list[int]) -> list[int] | None:
+    """solve() for the matrix whose Smith normal form is `snf`."""
     ub = mat_vec(snf.u, b)
+    cols = len(snf.v)
     y = [0] * cols
     diag = snf.diagonal
-    for i in range(rows):
+    for i in range(len(ub)):
         d = diag[i] if i < len(diag) else 0
         if d:
             if ub[i] % d:
@@ -188,17 +193,30 @@ def kernel_basis(a: list[list[int]]) -> list[list[int]]:
     return [list(vt[j]) for j in range(rank, cols)]
 
 
+class Lattice:
+    """The integer span of the rows of `basis`, with one Smith normal form
+    answering every membership test and the rank."""
+
+    def __init__(self, basis: list[list[int]]):
+        self.snf = smith_normal_form(transpose(basis)) if basis else None
+
+    def __contains__(self, vector: list[int]) -> bool:
+        if self.snf is None:
+            return all(x == 0 for x in vector)
+        return _solve_snf(self.snf, vector) is not None
+
+    @property
+    def rank(self) -> int:
+        return self.snf.rank if self.snf is not None else 0
+
+
 def in_lattice(basis: list[list[int]], vector: list[int]) -> bool:
     """Is `vector` an integer combination of the rows of `basis`?"""
-    if not basis:
-        return all(x == 0 for x in vector)
-    return solve(transpose(basis), vector) is not None
+    return vector in Lattice(basis)
 
 
 def lattice_rank(basis: list[list[int]]) -> int:
-    if not basis:
-        return 0
-    return smith_normal_form(basis).rank
+    return Lattice(basis).rank
 
 
 def lattice_equal(
@@ -208,8 +226,9 @@ def lattice_equal(
 
     Returns (equal, vectors of basis_a not contained in span(basis_b)).
     """
-    missing = [row for row in basis_a if not in_lattice(basis_b, row)]
+    span_b = Lattice(basis_b)
+    missing = [row for row in basis_a if row not in span_b]
     if missing:
         return False, missing
-    extra = [row for row in basis_b if not in_lattice(basis_a, row)]
-    return (not extra), missing
+    span_a = Lattice(basis_a)
+    return all(row in span_a for row in basis_b), missing

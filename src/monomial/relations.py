@@ -13,7 +13,6 @@ from functools import lru_cache
 from . import intlin
 from .brauer import (
     RPlusElement,
-    brauer_map,
     coordinates,
     generator,
     glued_character,
@@ -21,6 +20,7 @@ from .brauer import (
     kernel_basis,
     pair_class,
     pair_classes,
+    phi_coordinates,
     rplus,
 )
 from .characters import (
@@ -34,7 +34,8 @@ from .characters import (
     inner_product,
     trivial_character,
 )
-from .errors import NotNormal
+from .cyclotomic import _is_prime
+from .errors import CertificateFailed, NotNormal
 from .groups import (
     Group,
     Subgroup,
@@ -81,7 +82,8 @@ def _subgroups_of(g: Group, b: Subgroup):
 
 
 def _check_kernel(elt: RPlusElement) -> None:
-    assert brauer_map(elt).is_zero(), "relation not in the kernel"
+    if any(phi_coordinates(elt)):
+        raise CertificateFailed("relation not in the kernel", witness=elt)
 
 
 def _emit(relations, seen, kind, g, b, witness, elt):
@@ -128,10 +130,6 @@ def gen_type_I(g: Group, n: Subgroup) -> list[BasicRelation]:
                     induce_rplus(elt, full),
                 )
     return out
-
-
-def _is_prime(m: int) -> bool:
-    return m > 1 and all(m % d for d in range(2, int(m**0.5) + 1))
 
 
 def heisenberg_configurations(g: Group, n: Subgroup):
@@ -424,26 +422,15 @@ def verify_theorem_2_7(
     relations = basic_relations(g, n, kinds)
     kernel_vecs = [coordinates(x, n) for x in kernel]
     span_vecs = [coordinates(r.element, n) for r in relations]
-    span_rank = intlin.lattice_rank(span_vecs) if span_vecs else 0
-    if not kernel_vecs:
-        return Theorem27Report(
-            group=g,
-            n=n,
-            kinds=tuple(kinds),
-            n_relations=len(relations),
-            kernel_rank=0,
-            span_rank=span_rank,
-            equal=True,
-            missing=[],
-        )
-    if span_vecs:
-        equal, missing_vecs = intlin.lattice_equal(kernel_vecs, span_vecs)
-    else:
-        equal, missing_vecs = False, list(kernel_vecs)
-    # the reverse inclusion holds by construction (every relation maps to
-    # zero and the kernel basis is saturated); assert it anyway
-    for vec in span_vecs:
-        assert intlin.in_lattice(kernel_vecs, vec)
+    kernel_span, relation_span = intlin.Lattice(kernel_vecs), intlin.Lattice(span_vecs)
+    # every relation maps to zero and the kernel basis is saturated, so the
+    # relations lie in the kernel lattice; checked all the same
+    for rel, vec in zip(relations, span_vecs):
+        if vec not in kernel_span:
+            raise CertificateFailed(
+                "relation outside the kernel lattice", witness=rel.element
+            )
+    missing_vecs = [vec for vec in kernel_vecs if vec not in relation_span]
     full = full_subgroup(g)
     classes = pair_classes(full, n)
     missing = [
@@ -455,7 +442,7 @@ def verify_theorem_2_7(
         kinds=tuple(kinds),
         n_relations=len(relations),
         kernel_rank=len(kernel_vecs),
-        span_rank=span_rank,
-        equal=equal,
+        span_rank=relation_span.rank,
+        equal=not missing,
         missing=missing,
     )

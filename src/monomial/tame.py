@@ -15,17 +15,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclotomic import Cyclotomic, sqrt_prime
+from .cyclotomic import Cyclotomic, _is_prime, sqrt_prime
 from .errors import (
     DegenerateCase,
     NotAbelianTameCase,
     NotTame,
     UnsupportedModel,
 )
-
-
-def _is_prime(m: int) -> bool:
-    return m > 1 and all(m % d for d in range(2, int(m**0.5) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -36,10 +32,6 @@ def _is_prime(m: int) -> bool:
 # the least (in this integer encoding) monic irreducible of degree f and
 # the generator is the least element of full multiplicative order, so
 # discrete logarithms are reproducible.
-
-
-def _poly_mod_p(coeffs, p):
-    return [c % p for c in coeffs]
 
 
 def _poly_mul_p(a, b, p):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .cyclotomic import _is_prime
 from .errors import HNormal, NotMaximal, TooLarge
 from .groups import (
     Group,
@@ -42,10 +43,6 @@ class TypeIIICertificate:
     quotient_map: QuotientMap  # g -> g / k
     qh: Subgroup  # image of h
     qc: Subgroup  # the complement inside g / k
-
-
-def _is_prime(m: int) -> bool:
-    return m > 1 and all(m % d for d in range(2, int(m**0.5) + 1))
 
 
 def is_type_III(g: Group, h: Subgroup) -> TypeIIICertificate:

@@ -91,6 +91,21 @@ def test_kernel_lattice_identity_all_small_groups():
             )
 
 
+def test_kernel_lattice_identity_catalog_groups_above_27():
+    # the same identity on the catalog groups SMALL leaves out
+    large = [nm for nm in catalog_names() if nm not in SMALL]
+    assert large == ["F7_6", "F13_3"]
+    for nm in large:
+        g = catalog_group(nm)
+        for n in normal_subgroups(g):
+            report = verify_theorem_2_7(g, n)
+            assert report.equal, (
+                f"lattice mismatch for {nm}, N=({' '.join(map(str, n.elements))}): "
+                f"kernel rank {report.kernel_rank}, span rank {report.span_rank}"
+            )
+            assert report.kernel_rank == report.span_rank > 0 or n.order == g.order
+
+
 def test_presentation_round_trip_and_dim0_certificates():
     # every irreducible of every quotient by a derived subgroup [N,N]
     # admits an integral monomial presentation that maps back exactly

@@ -2,11 +2,20 @@ import cmath
 import random
 
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monomial.cyclotomic import Cyclotomic, sqrt_prime, sqrt_prime_power
+from monomial.cyclotomic import (
+    Cyclotomic,
+    _cyclo_coeffs,
+    _galois_apply,
+    sqrt_prime,
+    sqrt_prime_power,
+    trace_row,
+)
 
 
 def zeta(m, k=1):
@@ -98,3 +107,49 @@ def test_powers():
     assert x**0 == Cyclotomic.from_rational(1)
     assert x**3 == x * x * x
     assert x**-2 == (x * x).inverse()
+
+
+def test_cyclotomic_polynomials_multiply_to_binomial():
+    # prod_{d | n} Phi_d = x^n - 1
+    for n in range(1, 301):
+        prod = np.array([1], dtype=np.int64)
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = np.convolve(prod, np.array([int(c) for c in _cyclo_coeffs(d)], dtype=np.int64))
+        assert prod.tolist() == [-1] + [0] * (n - 1) + [1], n
+    # the first cyclotomic polynomial with a coefficient outside {-1, 0, 1}
+    assert -2 in _cyclo_coeffs(105)
+    assert all(abs(c) <= 1 for n in range(1, 105) for c in _cyclo_coeffs(n))
+
+
+def test_trace_row_is_galois_trace():
+    for m in (1, 2, 3, 4, 6, 8, 9, 12, 15):
+        for k in range(m):
+            total = Cyclotomic.zero()
+            for t in range(1, m + 1):
+                if gcd(t, m) == 1:
+                    total = total + zeta(m, k * t)
+            assert total == Cyclotomic.from_rational(trace_row(m)[k])
+
+
+def test_shrink_matches_all_automorphisms():
+    def least_field(x):
+        m = x.m
+        for d in range(1, m + 1):
+            if m % d == 0 and all(
+                _galois_apply(x, t) == x
+                for t in range(1, m)
+                if gcd(t, m) == 1 and t % d == 1 % d
+            ):
+                return d
+
+    rng = random.Random(7)
+    for m in (12, 15, 16, 20, 24):
+        for d in (1, 3, 4, 5, m):
+            if m % d:
+                continue
+            # an element of Q(zeta_d), written at modulus m
+            x = Cyclotomic(d, [rng.randrange(-2, 3) for _ in range(d)]).promote(m)
+            shrunk = x.shrink()
+            assert shrunk.m == least_field(x)
+            assert shrunk == x

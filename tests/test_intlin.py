@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monomial.intlin import (
+    Lattice,
     identity_matrix,
     in_lattice,
     kernel_basis,
@@ -117,3 +118,21 @@ def test_lattice_equal_basic():
 
     d = identity_matrix(3)
     assert transpose(d) == d
+
+
+def test_lattice_membership_matches_solve():
+    rng = random.Random(11)
+    for _ in range(40):
+        rows = rng.randrange(1, 4)
+        cols = rng.randrange(2, 5)
+        basis = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
+        span = Lattice(basis)
+        assert span.rank == smith_normal_form(basis).rank
+        for _ in range(6):
+            vec = [rng.randrange(-4, 5) for _ in range(cols)]
+            assert (vec in span) == (solve(transpose(basis), vec) is not None)
+            coeffs = [rng.randrange(-2, 3) for _ in basis]
+            combo = [sum(c * r[j] for c, r in zip(coeffs, basis)) for j in range(cols)]
+            assert combo in span
+    empty = Lattice([])
+    assert [0, 0] in empty and [0, 1] not in empty and empty.rank == 0

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from monomial.brauer import (
@@ -211,3 +215,50 @@ def test_theorem_2_7_nontrivial_n():
     report = verify_theorem_2_7(s3, full_subgroup(s3))
     assert report.equal
     assert report.kernel_rank == 0
+
+
+# Run under `python -O`: a bogus relation must still be refused, by the
+# check inside relation generation and by the verdict's reverse inclusion.
+_INJECT = """
+import sys
+from monomial import relations
+from monomial.brauer import generator
+from monomial.catalog import catalog_group
+from monomial.characters import characters_of
+from monomial.errors import CertificateFailed
+from monomial.groups import full_subgroup, trivial_subgroup
+
+g = catalog_group("S3")
+n = trivial_subgroup(g)
+full = full_subgroup(g)
+bogus = generator(full, characters_of(full)[1], full, n)
+print("optimize", sys.flags.optimize)
+try:
+    relations._check_kernel(bogus)
+    print("check passed")
+except CertificateFailed as exc:
+    print("check refused", exc.witness == bogus)
+
+real = relations.basic_relations
+relations.basic_relations = lambda g, n, kinds: real(g, n, kinds) + [
+    relations.BasicRelation("I", g, full, (), bogus)
+]
+try:
+    relations.verify_theorem_2_7(g, n)
+    print("verdict passed")
+except CertificateFailed as exc:
+    print("verdict refused", exc.witness == bogus)
+"""
+
+
+def test_certificate_checks_survive_optimize():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _INJECT],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.split("\n")
+    assert out[:3] == ["optimize 1", "check refused True", "verdict refused True"]
