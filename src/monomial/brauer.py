@@ -7,7 +7,8 @@ kernel is computed exactly by integer linear algebra.  The matrix of phi
 (irreducible coordinates of each induced pair) comes from the integer
 character table of `characters`: class counts of H dotted with the dual
 rows of the trace form, with no cyclotomic arithmetic.  `brauer_map`
-still returns phi(x) as an exact cyclotomic class function.
+sums the same class counts as integer vectors in powers of zeta_e and
+builds one exact cyclotomic value per class of the ambient at the end.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from .characters import (
     characters_of,
     conjugate_character,
     decompose,
-    induce,
     subgroup_classes,
     trivial_character,
-    zero_class_function,
 )
+from .cyclotomic import Cyclotomic
 from .errors import CNotAbelianNormal, NoSolution
 from .groups import (
     Group,
@@ -210,17 +210,24 @@ def _subgroup_reps_within(ambient: Subgroup) -> tuple[Subgroup, ...]:
 # the map phi
 
 
-@lru_cache(maxsize=None)
-def _phi_generator(cls: PairClass) -> ClassFunction:
-    return induce(cls.char, cls.ambient)
-
-
 def brauer_map(x: RPlusElement) -> ClassFunction:
-    """phi(x) = sum of n * Ind_H^ambient(chi)."""
-    total = zero_class_function(x.ambient)
+    """phi(x) = sum of n * Ind_H^ambient(chi), as a class function on the
+    ambient: the sum of n |H|^-1 times the class counts of each pair over
+    (class, power of zeta_e), exactly in integers."""
+    table, label = _ambient_table(x.ambient)
+    e = table.exponent
+    total = [0] * (len(table.sizes) * e)
     for cls, n in x.coefficients:
-        total = total + n * _phi_generator(cls)
-    return total
+        h = cls.subgroup.order
+        for i, count in table._induced_counts(cls.char, label).items():
+            q, r = divmod(count, h)
+            if r:
+                raise ArithmeticError("induced character is not integral")
+            total[i] += n * q
+    return ClassFunction(
+        x.ambient,
+        tuple(Cyclotomic(e, total[i : i + e]) for i in range(0, len(total), e)),
+    )
 
 
 def inflate(f: ClassFunction, qm: QuotientMap) -> ClassFunction:
@@ -237,17 +244,13 @@ def inflate(f: ClassFunction, qm: QuotientMap) -> ClassFunction:
 
 
 def _double_cosets(ambient: Subgroup, h1: Subgroup, h2: Subgroup):
-    parent = ambient.parent
+    t = ambient.parent.table
     seen = set()
     reps = []
     for g in ambient.elements:
         if g in seen:
             continue
-        coset = {
-            parent.mul(parent.mul(a, g), b)
-            for a in h1.elements
-            for b in h2.elements
-        }
+        coset = {t[t[a][g]][b] for a in h1.elements for b in h2.elements}
         seen.update(coset)
         reps.append(min(coset))
     return reps
@@ -315,9 +318,10 @@ class OrbitData:
 def _require_abelian_normal(ambient: Subgroup, c: Subgroup) -> None:
     if not c.as_group.is_abelian():
         raise CNotAbelianNormal(f"{c} is not abelian")
-    parent = ambient.parent
+    conj, cset = ambient.parent.conj_table, c.element_set
     for g in ambient.elements:
-        if any(parent.conj(g, x) not in c.element_set for x in c.elements):
+        row = conj[g]
+        if not cset.issuperset([row[x] for x in c.elements]):
             raise CNotAbelianNormal(f"{c} is not normal in the ambient group")
 
 
@@ -417,8 +421,7 @@ def _ambient_table(ambient: Subgroup):
     elements onto the table's group (None for the whole group)."""
     if ambient.order == ambient.parent.order:
         return character_table(ambient.parent), None
-    label = {x: i for i, x in enumerate(ambient.elements)}
-    return character_table(ambient.as_group), label
+    return character_table(ambient.as_group), ambient.position
 
 
 def phi_coordinates(x: RPlusElement) -> list[int]:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .cyclotomic import Cyclotomic, trace_row
-from .errors import NotASubgroup
+from .errors import NotASubgroup, NotMonomial
 from .groups import (
     Group,
     QuotientMap,
@@ -29,7 +29,6 @@ from .groups import (
     derived_subgroup,
     full_subgroup,
     quotient,
-    subgroup,
     subgroup_class_reps,
 )
 
@@ -104,11 +103,10 @@ class Character:
     exponents: tuple[int, ...]  # aligned with domain.elements
 
     def value(self, x: int) -> Cyclotomic:
-        pos = self.domain.elements.index(x)
-        return Cyclotomic.root_of_unity(self.modulus, self.exponents[pos])
+        return Cyclotomic.root_of_unity(self.modulus, self.exponent_of(x))
 
     def exponent_of(self, x: int) -> int:
-        return self.exponents[self.domain.elements.index(x)]
+        return self.exponents[self.domain.position[x]]
 
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
@@ -145,7 +143,8 @@ class Character:
     def restrict(self, k: Subgroup) -> "Character":
         if not self.domain.contains_subgroup(k):
             raise NotASubgroup(f"{k} not contained in {self.domain}")
-        exps = tuple(self.exponent_of(x) for x in k.elements)
+        pos = self.domain.position
+        exps = tuple(self.exponents[pos[x]] for x in k.elements)
         return character(k, self.modulus, exps)
 
     def serialize(self) -> str:
@@ -205,10 +204,8 @@ def characters_of(h: Subgroup) -> tuple[Character, ...]:
     def rec(i, chosen):
         if i == len(basis):
             exps = []
-            for x in h.elements:
-                pos = h.elements.index(x)
-                image = qm.project(pos)
-                c = coords[image]
+            for pos in range(h.order):
+                c = coords[qm.project(pos)]
                 k = sum(
                     chosen[j] * e * (m // basis[j][1]) for j, e in enumerate(c)
                 ) % m
@@ -224,16 +221,16 @@ def characters_of(h: Subgroup) -> tuple[Character, ...]:
 
 
 def conjugate_character(chi: Character, g: int) -> Character:
-    """Character on gHg^{-1} with value at x equal to chi(g^{-1} x g)."""
+    """Character on gHg^{-1} with value at x equal to chi(g^{-1} x g).
+
+    Conjugation is an isomorphism H -> gHg^{-1}, so chi's canonical
+    modulus is also the image's."""
     parent = chi.domain.parent
-    new_dom = subgroup(
-        parent, [parent.conj(g, x) for x in chi.domain.elements]
+    row = parent.conj_table[g]
+    elements, exponents = zip(
+        *sorted(zip([row[x] for x in chi.domain.elements], chi.exponents))
     )
-    ginv = parent.inv(g)
-    exps = tuple(
-        chi.exponent_of(parent.conj(ginv, x)) for x in new_dom.elements
-    )
-    return character(new_dom, chi.modulus, exps)
+    return Character(Subgroup(parent, elements), chi.modulus, exponents)
 
 
 def extensions_of(eta: Character, h: Subgroup) -> list[Character]:
@@ -259,13 +256,13 @@ def characters_trivial_on(b: Subgroup, k: Subgroup) -> list[Character]:
 @lru_cache(maxsize=None)
 def subgroup_classes(h: Subgroup) -> tuple[tuple[int, ...], ...]:
     """Conjugacy classes of H (as parent element indices)."""
-    parent = h.parent
+    conj = h.parent.conj_table
     seen = set()
     classes = []
     for x in h.elements:
         if x in seen:
             continue
-        orbit = sorted({parent.conj(g, x) for g in h.elements})
+        orbit = sorted({conj[g][x] for g in h.elements})
         seen.update(orbit)
         classes.append(tuple(orbit))
     return tuple(sorted(classes, key=lambda c: c[0]))
@@ -511,8 +508,8 @@ class CharacterTable:
         At induction dimension d every unknown constituent has dimension
         exactly d (anything smaller is itself monomial of smaller induction
         dimension, hence already found), so each nonzero remainder is a
-        single new irreducible.  This is complete for the catalog, whose
-        groups are all M-groups.
+        single new irreducible.  This is complete exactly for M-groups (every
+        catalog group is one); any other group is refused with NotMonomial.
         """
         vectors: list[list[int]] = []
         duals: list[list[int]] = []
@@ -536,11 +533,13 @@ class CharacterTable:
                 norm = _dot(f, dual)
                 if norm:
                     if norm != self.scale:
-                        raise AssertionError("remainder is not a single irreducible")
+                        raise NotMonomial(
+                            f"{self.group!r}: remainder is not a single irreducible"
+                        )
                     vectors.append(f)
                     duals.append(dual)
         if len(vectors) != len(self.sizes):
-            raise AssertionError("irreducible search incomplete")
+            raise NotMonomial(f"{self.group!r}: irreducible search incomplete")
         return vectors, duals
 
 

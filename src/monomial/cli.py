@@ -204,7 +204,10 @@ def verify_thm27(name, max_order, kinds, out):
     ok = True
     for nm, g in _group_targets(name, max_order):
         for n in normal_subgroups(g):
-            report = verify_theorem_2_7(g, n, kind_list)
+            try:
+                report = verify_theorem_2_7(g, n, kind_list)
+            except MonomialError as exc:
+                raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
             lines.append(
                 f"{nm} N=({' '.join(str(x) for x in n.elements)}) "
                 f"relations={report.n_relations} kernel_rank={report.kernel_rank} "

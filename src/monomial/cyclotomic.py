@@ -31,7 +31,7 @@ def _mobius(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _cyclo_coeffs(m: int) -> tuple[Fraction, ...]:
+def _cyclo_coeffs(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, ascending degree.
 
     Phi_m = prod_{d | m} (x^d - 1)^mu(m/d): multiply out the factors with
@@ -54,7 +54,7 @@ def _cyclo_coeffs(m: int) -> tuple[Fraction, ...]:
         for i in range(len(q)):
             q[i] = (q[i - d] if i >= d else 0) - poly[i]
         poly = q
-    return tuple(Fraction(c) for c in poly)
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
@@ -73,8 +73,9 @@ def _poly_trim(coeffs: list[Fraction]) -> list[Fraction]:
     return coeffs
 
 
-def _poly_rem(num: list[Fraction], den: tuple[Fraction, ...]) -> list[Fraction]:
-    """Remainder of num modulo the monic polynomial den."""
+def _poly_rem(num: list, den: tuple[int, ...]) -> list:
+    """Remainder of num modulo the monic integer polynomial den, in the
+    coefficients' own type (int or Fraction)."""
     num = list(num)
     dd = len(den) - 1
     while len(num) > dd:
@@ -124,10 +125,12 @@ class Cyclotomic:
 
     def __init__(self, m: int, coeffs):
         self.m = m
+        # integer input is reduced in integers and converted afterwards
         reduced = _poly_rem(
-            [Fraction(c) for c in coeffs], _cyclo_coeffs(m)
+            [c if type(c) is int else Fraction(c) for c in coeffs],
+            _cyclo_coeffs(m),
         )
-        self.coeffs = tuple(reduced)
+        self.coeffs = tuple(Fraction(c) if type(c) is int else c for c in reduced)
 
     # -- constructors ----------------------------------------------------
 
@@ -215,7 +218,7 @@ class Cyclotomic:
         against the (irreducible) cyclotomic polynomial."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        phi = list(_cyclo_coeffs(self.m))
+        phi = [Fraction(c) for c in _cyclo_coeffs(self.m)]
         # extended gcd of self.coeffs and phi over Q[x]
         r0, r1 = phi, list(self.coeffs)
         s0, s1 = [], [Fraction(1)]  # coefficients of self.coeffs

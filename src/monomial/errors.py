@@ -33,6 +33,11 @@ class NotASubgroup(MonomialError):
     """Subset is not a subgroup / not contained where required."""
 
 
+class NotMonomial(MonomialError):
+    """The group is not an M-group: the irreducible characters cannot all
+    be found among inductions of 1-dimensional characters of subgroups."""
+
+
 # --- brauer-ring --------------------------------------------------------
 
 

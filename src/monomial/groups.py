@@ -4,11 +4,16 @@ Groups, subgroups and quotient maps are immutable values with structural
 equality, and every enumeration returns a deterministic canonical order
 (sorted element lists, least-coset labeling), so they can serve as dict
 keys and as canonical representatives of pair classes downstream.
+
+A Group or Subgroup computes its hash once, at construction, and compares
+by identity before comparing structure.  The derived tables (inverses,
+conjugation g x g^-1, conjugacy classes, a subgroup's element positions)
+are built lazily on first use and kept; hot loops read them directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import NotAGroup, NotASubgroup, NotNormal, NotSolvable, ParseError
@@ -16,10 +21,26 @@ from .errors import NotAGroup, NotASubgroup, NotNormal, NotSolvable, ParseError
 MAX_ORDER = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Group:
+    """A group as its multiplication table; 0 is the identity.  Equality
+    is equality of tables (the name is a label only)."""
+
     table: tuple[tuple[int, ...], ...]
-    name: str | None = field(default=None, compare=False)
+    name: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.table,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Group):
+            return NotImplemented
+        return self._hash == other._hash and self.table == other.table
 
     @property
     def order(self) -> int:
@@ -30,20 +51,35 @@ class Group:
 
     @cached_property
     def inverses(self) -> tuple[int, ...]:
-        inv = [None] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if self.table[a][b] == 0:
-                    inv[a] = b
-                    break
-        return tuple(inv)
+        return tuple(row.index(0) for row in self.table)
 
     def inv(self, a: int) -> int:
         return self.inverses[a]
 
+    @cached_property
+    def conj_table(self) -> tuple[tuple[int, ...], ...]:
+        """conj_table[g][x] = g x g^{-1}."""
+        t = self.table
+        return tuple(
+            tuple(t[gx][gi] for gx in row)
+            for row, gi in zip(t, self.inverses)
+        )
+
     def conj(self, g: int, x: int) -> int:
         """g x g^{-1}."""
-        return self.mul(self.mul(g, x), self.inv(g))
+        return self.conj_table[g][x]
+
+    def power(self, x: int, n: int) -> int:
+        """x^n for any integer n, by repeated squaring."""
+        if n < 0:
+            x, n = self.inverses[x], -n
+        t, out = self.table, 0
+        while n:
+            if n & 1:
+                out = t[out][x]
+            x = t[x][x]
+            n >>= 1
+        return out
 
     def element_order(self, a: int) -> int:
         n, x = 1, a
@@ -59,7 +95,7 @@ class Group:
         for a in range(self.order):
             if seen[a]:
                 continue
-            orbit = sorted({self.conj(g, a) for g in range(self.order)})
+            orbit = sorted({row[a] for row in self.conj_table})
             for x in orbit:
                 seen[x] = True
             classes.append(tuple(orbit))
@@ -84,10 +120,29 @@ class Group:
         return f"Group({label})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subgroup:
+    """A subgroup of `parent`, by its sorted element tuple."""
+
     parent: Group
     elements: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.parent, self.elements)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Subgroup):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.elements == other.elements
+            and self.parent == other.parent
+        )
 
     @property
     def order(self) -> int:
@@ -100,6 +155,11 @@ class Subgroup:
     def element_set(self) -> frozenset:
         return frozenset(self.elements)
 
+    @cached_property
+    def position(self) -> dict[int, int]:
+        """Index of each element in `elements`."""
+        return {x: i for i, x in enumerate(self.elements)}
+
     def contains_subgroup(self, other: "Subgroup") -> bool:
         return other.element_set <= self.element_set
 
@@ -110,10 +170,9 @@ class Subgroup:
     def as_group(self) -> "Group":
         """This subgroup as an abstract Group on its own element labels
         (position in the sorted element tuple)."""
-        pos = {x: i for i, x in enumerate(self.elements)}
+        pos, t = self.position, self.parent.table
         table = tuple(
-            tuple(pos[self.parent.mul(a, b)] for b in self.elements)
-            for a in self.elements
+            tuple(pos[t[a][b]] for b in self.elements) for a in self.elements
         )
         return Group(table, name=None)
 
@@ -260,17 +319,19 @@ def full_subgroup(g: Group) -> Subgroup:
 
 
 def closure(g: Group, gens) -> Subgroup:
+    t = g.table
     elems = {0}
     frontier = [0]
     gens = list(gens)
     while frontier:
         x = frontier.pop()
+        row = t[x]
         for s in gens:
-            for y in (g.mul(x, s), g.mul(s, x)):
+            for y in (row[s], t[s][x]):
                 if y not in elems:
                     elems.add(y)
                     frontier.append(y)
-    return subgroup(g, elems)
+    return Subgroup(g, tuple(sorted(elems)))
 
 
 @lru_cache(maxsize=None)
@@ -316,22 +377,25 @@ def subgroup_class_reps(g: Group) -> list[Subgroup]:
 
 
 def conjugate_subgroup(h: Subgroup, g_elt: int) -> Subgroup:
-    g = h.parent
-    return subgroup(g, [g.conj(g_elt, x) for x in h.elements])
+    row = h.parent.conj_table[g_elt]
+    return Subgroup(h.parent, tuple(sorted([row[x] for x in h.elements])))
 
 
 def is_normal(g: Group, h: Subgroup) -> bool:
-    return all(conjugate_subgroup(h, x) == h for x in range(g.order))
+    hset = h.element_set
+    return all(
+        hset.issuperset([row[x] for x in h.elements]) for row in g.conj_table
+    )
 
 
 def centralizer(g: Group, h: Subgroup) -> Subgroup:
-    return subgroup(
+    return Subgroup(
         g,
-        [
+        tuple(
             x
-            for x in range(g.order)
-            if all(g.mul(x, y) == g.mul(y, x) for y in h.elements)
-        ],
+            for x, row in enumerate(g.conj_table)
+            if all(row[y] == y for y in h.elements)
+        ),
     )
 
 
@@ -346,14 +410,14 @@ def intersection(h: Subgroup, k: Subgroup) -> Subgroup:
 def product_set(h: Subgroup, k: Subgroup) -> Subgroup:
     """The set HK as a Subgroup (caller guarantees it is one, e.g. one
     factor normalizes the other)."""
-    g = h.parent
-    return subgroup(g, {g.mul(a, b) for a in h.elements for b in k.elements})
+    t = h.parent.table
+    return subgroup(h.parent, {t[a][b] for a in h.elements for b in k.elements})
 
 
 def core(g: Group, h: Subgroup) -> Subgroup:
     elems = set(h.element_set)
-    for x in range(g.order):
-        elems &= conjugate_subgroup(h, x).element_set
+    for row in g.conj_table:
+        elems.intersection_update([row[x] for x in h.elements])
         if len(elems) == 1:
             break
     return subgroup(g, elems)
@@ -361,11 +425,8 @@ def core(g: Group, h: Subgroup) -> Subgroup:
 
 def commutator_subgroup(h: Subgroup, k: Subgroup) -> Subgroup:
     g = h.parent
-    comms = {
-        g.mul(g.mul(a, b), g.mul(g.inv(a), g.inv(b)))
-        for a in h.elements
-        for b in k.elements
-    }
+    t, inv = g.table, g.inverses
+    comms = {t[t[a][b]][t[inv[a]][inv[b]]] for a in h.elements for b in k.elements}
     return closure(g, comms)
 
 

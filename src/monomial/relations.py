@@ -8,11 +8,11 @@ lattice they span with the full kernel computed by linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import intlin
 from .brauer import (
     RPlusElement,
+    _ambient_table,
     coordinates,
     generator,
     glued_character,
@@ -25,13 +25,10 @@ from .brauer import (
 )
 from .characters import (
     Character,
-    character_class_function,
     characters_of,
     characters_trivial_on,
     conjugate_character,
     extensions_of,
-    induce,
-    inner_product,
     trivial_character,
 )
 from .cyclotomic import _is_prime
@@ -41,14 +38,12 @@ from .groups import (
     Subgroup,
     all_subgroups,
     commutator_subgroup,
-    core,
     full_subgroup,
     intersection,
     is_normal,
     product_set,
     subgroup,
     subgroup_class_reps,
-    trivial_subgroup,
 )
 
 
@@ -62,19 +57,18 @@ class BasicRelation:
 
 
 def _is_normal_in(b: Subgroup, h: Subgroup) -> bool:
-    parent = b.parent
-    hset = h.element_set
+    conj, hset = b.parent.conj_table, h.element_set
     return all(
-        parent.conj(g, x) in hset for g in b.elements for x in h.elements
+        hset.issuperset([conj[g][x] for x in h.elements]) for g in b.elements
     )
 
 
 def _core_in(b: Subgroup, h: Subgroup) -> Subgroup:
-    parent = b.parent
+    conj = b.parent.conj_table
     elems = set(h.element_set)
     for g in b.elements:
-        elems &= {parent.conj(g, x) for x in h.elements}
-    return subgroup(parent, elems)
+        elems.intersection_update([conj[g][x] for x in h.elements])
+    return subgroup(b.parent, elems)
 
 
 def _subgroups_of(g: Group, b: Subgroup):
@@ -178,8 +172,8 @@ def gen_type_II(g: Group, n: Subgroup) -> list[BasicRelation]:
                     if h1 == h2:
                         continue
                     for e1 in exts[h1]:
+                        _check_heisenberg_irreducible(b, e1)
                         for e2 in exts[h2]:
-                            _assert_heisenberg_irreducible(b, h1, e1)
                             elt = generator(h1, e1, b, n) - generator(
                                 h2, e2, b, n
                             )
@@ -209,9 +203,7 @@ def _heisenberg_config(g, b, bb, z, n):
         return None
     # exponent l: every x^l lies in Z
     zset = z.element_set
-    if any(
-        _power(g, x, ell) not in zset for x in b.elements
-    ):
+    if any(g.power(x, ell) not in zset for x in b.elements):
         return None
     zb = commutator_subgroup(z, b)
     if bb.order != zb.order * ell:
@@ -226,18 +218,14 @@ def _prime_square_root(m: int):
     return None
 
 
-def _power(g: Group, x: int, k: int) -> int:
-    y = 0
-    for _ in range(k):
-        y = g.mul(y, x)
-    return y
-
-
-def _assert_heisenberg_irreducible(b, h, ext):
-    ind = induce(ext, b)
-    assert inner_product(ind, ind).as_rational() == 1, (
-        "Heisenberg induction is not irreducible"
-    )
+def _check_heisenberg_irreducible(b: Subgroup, ext: Character) -> None:
+    """Ind_H^B(ext) is irreducible: its integer coordinates on B's
+    character table have sum of squares 1."""
+    table, label = _ambient_table(b)
+    if sum(c * c for c in table.induced_coordinates(ext, label)) != 1:
+        raise CertificateFailed(
+            "Heisenberg induction is not irreducible", witness=(b, ext)
+        )
 
 
 def gen_type_III(g: Group, n: Subgroup) -> list[BasicRelation]:

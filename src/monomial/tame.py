@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclotomic import Cyclotomic, _is_prime, sqrt_prime
+from .cyclotomic import Cyclotomic, _cyclo_coeffs, _is_prime, _poly_rem, sqrt_prime
 from .errors import (
     DegenerateCase,
     NotAbelianTameCase,
@@ -508,13 +508,6 @@ _COEFF_LIMIT = 2**52
 
 
 @lru_cache(maxsize=None)
-def _phi_int(M: int) -> tuple[int, ...]:
-    from .cyclotomic import _cyclo_coeffs
-
-    return tuple(int(c) for c in _cyclo_coeffs(M))
-
-
-@lru_cache(maxsize=None)
 def _primitive_indices(M: int) -> tuple[int, ...]:
     return tuple(t for t in range(M) if gcd(t, M) == 1)
 
@@ -583,16 +576,7 @@ class CycVec:
         return self._exact_is_zero()
 
     def _exact_is_zero(self) -> bool:
-        v = [int(c) for c in self.arr]
-        phi = _phi_int(self.M)
-        deg = len(phi) - 1
-        for d in range(len(v) - 1, deg - 1, -1):
-            c = v[d]
-            if c:
-                v[d] = 0
-                for i in range(deg):
-                    v[d - deg + i] -= c * phi[i]
-        return all(x == 0 for x in v[:deg])
+        return not _poly_rem([int(c) for c in self.arr], _cyclo_coeffs(self.M))
 
     def to_cyclotomic(self) -> Cyclotomic:
         return Cyclotomic(self.M, [int(c) for c in self.arr])
@@ -1004,16 +988,10 @@ def _galois_pair_value(
     field_e = tame_field(base, e_e, f_e, lpsi)
     q_e = field_e.q
 
-    def power(x, n):
-        out = 0
-        for _ in range(n % g.element_order(x)):
-            out = g.mul(out, x)
-        return out
-
     if e_ke == 1:
         # K|E unramified: the transported character is unramified with
         # z = chi(Frob), Frob the unique element of H over sigma^f_E
-        target = g.inv(power(sigma, f_e))
+        target = g.inv(g.power(sigma, f_e))
         frobs = [x for x in h.elements if g.mul(x, target) in inertia_set]
         assert len(frobs) == 1
         num, den = _char_root(chi, frobs[0])
@@ -1026,7 +1004,7 @@ def _galois_pair_value(
     s = num_t * ell // den_t
     j = s * (q_e - 1) // ell if q_e > 2 else 0
     t0 = ((q_e - 1) // 2) % 2 if (ell == 2 and q_e % 2) else 0
-    art_pi = g.mul(power(sigma, f_e), power(tau, t0))
+    art_pi = g.mul(g.power(sigma, f_e), g.power(tau, t0))
     num, den = _char_root(chi, art_pi)
     return root_number(tame_char(field_e, j, num, den))
 
@@ -1108,7 +1086,7 @@ def galois_delta(
         for x in range(g.order):
             if x in inertia_set:
                 continue
-            if g.conj(x, tau) == _inertia_power(g, tau, q_action):
+            if g.conj(x, tau) == g.power(tau, q_action):
                 cos_order = g.element_order(x)
                 if cos_order % m == 0:
                     sigma = x
@@ -1128,10 +1106,3 @@ def galois_delta(
             g, inertia_set, sigma, tau, base, lpsi, cls.subgroup, cls.char
         )
     return delta_function(g, triv, vgroup, assignments)
-
-
-def _inertia_power(g, tau: int, n: int) -> int:
-    out = 0
-    for _ in range(n):
-        out = g.mul(out, tau)
-    return out

@@ -19,6 +19,7 @@ from .groups import (
     Subgroup,
     all_subgroups,
     centralizer,
+    conjugate_subgroup,
     core,
     full_subgroup,
     intersection,
@@ -27,7 +28,6 @@ from .groups import (
     minimal_normal_subgroups,
     product_set,
     quotient,
-    subgroup,
     trivial_subgroup,
 )
 
@@ -142,10 +142,7 @@ def complements_census(cert: TypeIIICertificate) -> dict:
         and product_set(h, qc) == full
         and core(q, h).order == 1
     ]
-    conjugates = {
-        subgroup(q, [q.conj(c, x) for x in cert.qh.elements])
-        for c in qc.elements
-    }
+    conjugates = {conjugate_subgroup(cert.qh, c) for c in qc.elements}
     return {
         "complements": complements,
         "all_C_conjugate": set(complements) == conjugates,
@@ -159,23 +156,27 @@ def h1_trivial(h: Subgroup, c: Subgroup, cap: int = 200_000) -> bool:
     assert h.parent is c.parent
     assert c.as_group.is_abelian()
     g = h.parent
+    t, conj, inv = g.table, g.conj_table, g.inverses
     others = [x for x in h.elements if x != 0]
     if len(c.elements) ** len(others) > cap:
         raise TooLarge("cocycle enumeration exceeds the cap")
+    # f = (0,) + values lists f(x) for x in h.elements, the identity 0
+    # first.  The cocycle law f(xy) = f(x) . x f(y) x^-1 holds whenever x
+    # or y is the identity, so only the other pairs are checked.
+    pos = h.position
+    pairs = [
+        (i, conj[x], j, pos[t[x][y]])
+        for i, x in enumerate(h.elements)
+        for j, y in enumerate(h.elements)
+        if x and y
+    ]
     n_cocycles = 0
     for values in product(c.elements, repeat=len(others)):
-        table = {0: 0}
-        table.update(dict(zip(others, values)))
-        if all(
-            table[g.mul(x, y)]
-            == g.mul(table[x], g.conj(x, table[y]))
-            for x in h.elements
-            for y in h.elements
-        ):
+        f = (0,) + values
+        if all(f[k] == t[f[i]][cx[f[j]]] for i, cx, j, k in pairs):
             n_cocycles += 1
     coboundaries = {
-        tuple(g.mul(a, g.inv(g.conj(x, a))) for x in h.elements)
-        for a in c.elements
+        tuple(t[a][inv[conj[x][a]]] for x in h.elements) for a in c.elements
     }
     assert n_cocycles % len(coboundaries) == 0
     return n_cocycles == len(coboundaries)

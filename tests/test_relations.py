@@ -218,15 +218,17 @@ def test_theorem_2_7_nontrivial_n():
 
 
 # Run under `python -O`: a bogus relation must still be refused, by the
-# check inside relation generation and by the verdict's reverse inclusion.
+# check inside relation generation, by the verdict's reverse inclusion and
+# by the extension engine's kernel check; a reducible induction must be
+# refused by the Heisenberg irreducibility check.
 _INJECT = """
 import sys
-from monomial import relations
+from monomial import extend, relations
 from monomial.brauer import generator
 from monomial.catalog import catalog_group
-from monomial.characters import characters_of
+from monomial.characters import characters_of, trivial_character
 from monomial.errors import CertificateFailed
-from monomial.groups import full_subgroup, trivial_subgroup
+from monomial.groups import full_subgroup, subgroup, trivial_subgroup
 
 g = catalog_group("S3")
 n = trivial_subgroup(g)
@@ -248,6 +250,24 @@ try:
     print("verdict passed")
 except CertificateFailed as exc:
     print("verdict refused", exc.witness == bogus)
+relations.basic_relations = real
+
+# Ind from C2 to S3 of the trivial character is 1 + the 2-dimensional one
+c2 = subgroup(g, [0, 3])
+try:
+    relations._check_heisenberg_irreducible(full, trivial_character(c2))
+    print("irreducibility passed")
+except CertificateFailed as exc:
+    print("irreducibility refused", exc.witness[0] == full)
+
+extend.basic_relations = lambda g, n: real(g, n) + [
+    relations.BasicRelation("I", g, full, (), bogus)
+]
+try:
+    extend.extend(g, n, extend.constant_delta(g, n, extend.FreeAbelianGroup()))
+    print("extension passed")
+except CertificateFailed as exc:
+    print("extension refused", exc.witness == bogus)
 """
 
 
@@ -261,4 +281,10 @@ def test_certificate_checks_survive_optimize():
         [sys.executable, "-O", "-c", _INJECT],
         capture_output=True, text=True, env=env, check=True,
     ).stdout.split("\n")
-    assert out[:3] == ["optimize 1", "check refused True", "verdict refused True"]
+    assert out[:5] == [
+        "optimize 1",
+        "check refused True",
+        "verdict refused True",
+        "irreducibility refused True",
+        "extension refused True",
+    ]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from monomial.cyclotomic import Cyclotomic, sqrt_prime
@@ -257,6 +259,24 @@ def test_cycvec_zero_test():
         2 * Cyclotomic.root_of_unity(12, 1) - Cyclotomic.root_of_unity(12, 5)
     ) * (3 + 4 * Cyclotomic.root_of_unity(12, 7))
     assert (a * b).to_cyclotomic() == dense
+
+
+def test_cycvec_exact_zero_test():
+    rng = random.Random(11)
+    for m in (3, 12, 15, 30):
+        assert not CycVec.from_pairs(m, [(0, 1)])._exact_is_zero()
+        divisors = [d for d in range(2, m + 1) if m % d == 0]
+        for _ in range(40):
+            # the d-th roots of unity sum to zero
+            d = rng.choice(divisors)
+            sign = rng.choice([-1, 1])
+            zero = [(k * (m // d), sign) for k in range(d)]
+            pairs = [(rng.randrange(m), rng.randrange(-2, 3)) for _ in range(4)]
+            assert CycVec.from_pairs(m, zero)._exact_is_zero()
+            assert (
+                CycVec.from_pairs(m, pairs + zero)._exact_is_zero()
+                == CycVec.from_pairs(m, pairs)._exact_is_zero()
+            )
 
 
 def test_galois_delta_s3_worked_values():
