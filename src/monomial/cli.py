@@ -357,6 +357,8 @@ def tame_dh1(q, ell, ramified, lpsi, out):
         f"verdict={'pass' if report['ok'] else 'fail'}\n",
         out,
     )
+    if not report["ok"]:
+        raise SystemExit(1)
 
 
 @tame.command("dh3")
@@ -375,6 +377,8 @@ def tame_dh3(q, ell, lpsi, out):
         f"verdict={'pass' if report['ok'] else 'fail'}\n",
         out,
     )
+    if not report["ok"]:
+        raise SystemExit(1)
 
 
 @tame.command("galois-model")

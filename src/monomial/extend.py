@@ -2,10 +2,11 @@
 
 A Delta-function assigns a value in an abelian group to every pair class
 [H, chi] with H above a fixed normal subgroup N.  Three families of
-product identities (mirroring the three relation families) are exactly
-the obstruction: when they hold, the lambda recursion below produces a
-well-defined multiplicative extension to arbitrary virtual characters,
-certified on the kernel generators.
+product identities are exactly the obstruction; each is read off the
+records of one relation family from `relations.configurations`, the
+single source that also builds the relations.  When they hold, the lambda
+recursion below produces a well-defined multiplicative extension to
+arbitrary virtual characters, certified on the kernel generators.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from functools import lru_cache
 from .brauer import (
     PairClass,
     RPlusElement,
-    glued_character,
     kernel_basis,
     pair_class,
     pair_classes,
@@ -26,14 +26,10 @@ from .brauer import (
 from .characters import (
     Character,
     ClassFunction,
-    characters_of,
     characters_trivial_on,
-    conjugate_character,
     irreducible_characters,
     subgroup_classes,
-    trivial_character,
 )
-from .cyclotomic import _is_prime
 from .errors import CertificateFailed, ConditionsViolated, MissingValue
 from .groups import (
     Group,
@@ -42,20 +38,17 @@ from .groups import (
     commutator_subgroup,
     conjugate_subgroup,
     full_subgroup,
-    intersection,
     is_normal,
-    product_set,
     quotient,
     subgroup,
     subgroup_class_reps,
 )
 from .relations import (
+    _glued_reps,
     _is_normal_in,
-    _orbit_reps_mod_h,
     _subgroups_of,
     basic_relations,
-    heisenberg_configurations,
-    type_iii_configurations,
+    configurations,
 )
 
 
@@ -178,113 +171,67 @@ def generic_delta(g: Group, n: Subgroup) -> DeltaFunction:
 # the three condition checks
 
 
+def _violations(cfg, delta: DeltaFunction) -> list:
+    """The violations of the condition that one configuration imposes.
+
+    Types I and III: Delta(U0, chi|U0) * prod Delta(U_i, nu_i) =
+    prod Delta(U_i, chi|U_i nu_i).  Type II: Delta(H, ext) * prod over
+    (B/H)^* of Delta(B, mu) is the same for every option (H, ext)."""
+    vg = delta.group
+    head = {"condition": cfg.kind, "B": cfg.b, **dict(cfg.labels)}
+    if cfg.kind != "II":
+        lhs, rhs = delta.value(*cfg.head), vg.one()
+        for u, nu, twisted in cfg.terms:
+            lhs = vg.mul(lhs, delta.value(u, nu))
+            rhs = vg.mul(rhs, delta.value(u, twisted))
+        if vg.eq(lhs, rhs):
+            return []
+        return [{**head, "lhs": vg.describe(lhs), "rhs": vg.describe(rhs)}]
+    out = []
+    first = first_pair = None
+    for h, ext in cfg.options:
+        val = delta.value(h, ext)
+        for mu in characters_trivial_on(cfg.b, h):
+            val = vg.mul(val, delta.value(cfg.b, mu))
+        if first is None:
+            first, first_pair = val, (h, ext)
+        elif not vg.eq(val, first):
+            out.append(
+                {
+                    **head,
+                    "pair": (h, ext),
+                    "other": first_pair,
+                    "lhs": vg.describe(val),
+                    "rhs": vg.describe(first),
+                }
+            )
+    return out
+
+
+def _check(g: Group, delta: DeltaFunction, kind: str) -> list:
+    return [
+        v
+        for cfg in configurations(g, delta.lower, kind)
+        for v in _violations(cfg, delta)
+    ]
+
+
 def check_condition_I(g: Group, delta: DeltaFunction) -> list:
     """Delta(K,chi_K) * prod Delta(B,mu) = prod Delta(B,chi mu) over
     (B/K)^*, for every prime-index normal K >= N in every B."""
-    vg = delta.group
-    n = delta.lower
-    violations = []
-    for b in subgroup_class_reps(g):
-        for k in _subgroups_of(g, b):
-            index = b.order // k.order
-            if not (
-                k.order * index == b.order
-                and _is_prime(index)
-                and k.contains_subgroup(n)
-                and _is_normal_in(b, k)
-            ):
-                continue
-            rel_chars = characters_trivial_on(b, k)
-            for chi in characters_of(b):
-                lhs = delta.value(k, chi.restrict(k))
-                rhs = vg.one()
-                for mu in rel_chars:
-                    lhs = vg.mul(lhs, delta.value(b, mu))
-                    rhs = vg.mul(rhs, delta.value(b, chi.mul(mu)))
-                if not vg.eq(lhs, rhs):
-                    violations.append(
-                        {
-                            "condition": "I",
-                            "B": b,
-                            "K": k,
-                            "chi": chi,
-                            "lhs": vg.describe(lhs),
-                            "rhs": vg.describe(rhs),
-                        }
-                    )
-    return violations
+    return _check(g, delta, "I")
 
 
 def check_condition_II(g: Group, delta: DeltaFunction) -> list:
     """Delta(H, eta^H) * prod_{mu in (B/H)^*} Delta(B, mu) must not depend
     on the choice of (H, eta^H) within a Heisenberg configuration."""
-    from .characters import extensions_of
-
-    vg = delta.group
-    n = delta.lower
-    violations = []
-    for b, z, ell, etas, mids in heisenberg_configurations(g, n):
-        for eta in etas:
-            seen = None
-            seen_pair = None
-            for h in mids:
-                for ext in extensions_of(eta, h):
-                    val = delta.value(h, ext)
-                    for mu in characters_trivial_on(b, h):
-                        val = vg.mul(val, delta.value(b, mu))
-                    if seen is None:
-                        seen, seen_pair = val, (h, ext)
-                    elif not vg.eq(val, seen):
-                        violations.append(
-                            {
-                                "condition": "II",
-                                "B": b,
-                                "Z": z,
-                                "eta": eta,
-                                "pair": (h, ext),
-                                "other": seen_pair,
-                                "lhs": vg.describe(val),
-                                "rhs": vg.describe(seen),
-                            }
-                        )
-    return violations
+    return _check(g, delta, "II")
 
 
 def check_condition_III(g: Group, delta: DeltaFunction) -> list:
     """Delta(H,chi_H) * prod_mu Delta(H_mu C, mu') = prod_mu
     Delta(H_mu C, chi mu') over H-orbit reps mu of (C/K)^*."""
-    vg = delta.group
-    n = delta.lower
-    violations = []
-    for b in subgroup_class_reps(g):
-        for h, k, c in type_iii_configurations(b):
-            if not k.contains_subgroup(n):
-                continue
-            for chi in characters_of(b):
-                lhs = delta.value(h, chi.restrict(h))
-                rhs = vg.one()
-                for mu, h_mu in _orbit_reps_mod_h(h, c, k):
-                    prod = product_set(h_mu, c)
-                    mu_ext = glued_character(
-                        h_mu, trivial_character(h_mu), c, mu
-                    )
-                    lhs = vg.mul(lhs, delta.value(prod, mu_ext))
-                    rhs = vg.mul(
-                        rhs, delta.value(prod, chi.restrict(prod).mul(mu_ext))
-                    )
-                if not vg.eq(lhs, rhs):
-                    violations.append(
-                        {
-                            "condition": "III",
-                            "B": b,
-                            "H": h,
-                            "C": c,
-                            "chi": chi,
-                            "lhs": vg.describe(lhs),
-                            "rhs": vg.describe(rhs),
-                        }
-                    )
-    return violations
+    return _check(g, delta, "III")
 
 
 def check_conditions(g: Group, delta: DeltaFunction) -> list:
@@ -341,13 +288,8 @@ class LambdaEngine:
         vg = self.delta.group
         if u.contains_subgroup(m):
             return self._value(u, m, ambient, rep_choice)
-        meet = intersection(u, m)
-        chars = characters_trivial_on(m, meet)
-        reps = _orbit_reps(u, chars, rep_choice)
         out = vg.one()
-        for mu, stab in reps:
-            prod = product_set(stab, m)
-            mu_ext = glued_character(stab, trivial_character(stab), m, mu)
+        for prod, mu_ext in _glued_reps(u, m, rep_choice):
             term = self.delta.value(prod, mu_ext)
             term = vg.mul(term, self._value(prod, m, ambient, rep_choice))
             out = vg.mul(out, term)
@@ -361,27 +303,6 @@ class LambdaEngine:
         return vg.mul(
             self.value(u, n), vg.pow(vg.inv(self.value(h, n)), index)
         )
-
-
-def _orbit_reps(u: Subgroup, chars, rep_choice: str):
-    char_set = set(chars)
-    seen = set()
-    out = []
-    for mu in chars:
-        if mu in seen:
-            continue
-        orbit = {conjugate_character(mu, x) for x in u.elements}
-        assert orbit <= char_set
-        seen.update(orbit)
-        pick = (min if rep_choice == "min" else max)(
-            orbit, key=lambda m: m.exponents
-        )
-        stab = subgroup(
-            u.parent,
-            [x for x in u.elements if conjugate_character(pick, x) == pick],
-        )
-        out.append((pick, stab))
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,11 @@
 """The three families of kernel relations and the kernel-equality check.
 
-Each relation is an explicit element of Ker(phi) built inside a subgroup
-B and pushed up by induction.  The headline verifier compares the integer
-lattice they span with the full kernel computed by linear algebra.
+`configurations(g, n, kind)` is the single source of the instances of each
+family: the relations here and the compatibility conditions in `extend`
+both loop over its records.  Each relation is an explicit element of
+Ker(phi) built inside a subgroup B and pushed up by induction.  The
+headline verifier compares the integer lattice they span with the full
+kernel computed by linear algebra.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ from .brauer import (
     RPlusElement,
     _ambient_table,
     coordinates,
-    generator,
     glued_character,
-    induce_rplus,
     kernel_basis,
     pair_class,
     pair_classes,
@@ -41,6 +42,7 @@ from .groups import (
     full_subgroup,
     intersection,
     is_normal,
+    maximal_subgroups,
     product_set,
     subgroup,
     subgroup_class_reps,
@@ -80,142 +82,188 @@ def _check_kernel(elt: RPlusElement) -> None:
         raise CertificateFailed("relation not in the kernel", witness=elt)
 
 
-def _emit(relations, seen, kind, g, b, witness, elt):
-    if elt.coefficients in seen:
-        return
-    seen.add(elt.coefficients)
-    _check_kernel(elt)
-    relations.append(
-        BasicRelation(kind=kind, ambient=g, b=b, witness=witness, element=elt)
-    )
-
-
-def gen_type_I(g: Group, n: Subgroup) -> list[BasicRelation]:
-    """[K, chi_K] - sum over (B/K)^* of [B, chi mu], for K normal of prime
-    index in B with K >= N, induced up from every B."""
-    if not is_normal(g, n):
-        raise NotNormal(f"{n} is not normal")
-    full = full_subgroup(g)
-    out: list[BasicRelation] = []
-    seen: set = set()
-    for b in subgroup_class_reps(g):
-        for k in _subgroups_of(g, b):
-            index = b.order // k.order
-            if not (
-                k.order * index == b.order
-                and _is_prime(index)
-                and k.contains_subgroup(n)
-                and _is_normal_in(b, k)
-            ):
-                continue
-            rel_chars = characters_trivial_on(b, k)
-            assert len(rel_chars) == index
-            for chi in characters_of(b):
-                elt = generator(k, chi.restrict(k), b, n)
-                for mu in rel_chars:
-                    elt = elt - generator(b, chi.mul(mu), b, n)
-                _emit(
-                    out,
-                    seen,
-                    "I",
-                    g,
-                    b,
-                    (k, chi),
-                    induce_rplus(elt, full),
-                )
-    return out
-
-
-def heisenberg_configurations(g: Group, n: Subgroup):
-    """All (B, Z, l, etas, mids): Z normal in B containing N with B/Z
-    elementary abelian of order l^2, commutator quotient [B,B]/[Z,B] of
-    order l, the eligible characters eta of Z, and the l+1 intermediate
-    subgroups."""
+def _glued_reps(u: Subgroup, m: Subgroup, rep_choice: str):
+    """(U_mu M, mu') for mu over the U-conjugation orbits on (M/(U & M))^*:
+    mu is the least or greatest exponent vector of its orbit (by
+    rep_choice), U_mu its stabilizer in U, and mu' glues the trivial
+    character of U_mu to mu."""
+    chars = characters_trivial_on(m, intersection(u, m))
+    char_set = set(chars)
+    seen = set()
     out = []
+    for mu in chars:
+        if mu in seen:
+            continue
+        orbit = {conjugate_character(mu, x) for x in u.elements}
+        assert orbit <= char_set
+        seen.update(orbit)
+        pick = (min if rep_choice == "min" else max)(
+            orbit, key=lambda m: m.exponents
+        )
+        stab = subgroup(
+            u.parent,
+            [x for x in u.elements if conjugate_character(pick, x) == pick],
+        )
+        out.append(
+            (
+                product_set(stab, m),
+                glued_character(stab, trivial_character(stab), m, pick),
+            )
+        )
+    return out
+
+
+# ---------------------------------------------------------------------------
+# configurations: the single source of relations and conditions
+
+
+@dataclass(frozen=True)
+class Configuration:
+    """One instance of a relation family inside B.
+
+    Types I and III: the relation [U0, chi|U0] - sum_i [U_i, chi|U_i nu_i],
+    with head = (U0, chi|U0) and terms = ((U_i, nu_i, chi|U_i nu_i), ...).
+    Type I has U0 = K, U_i = B and nu_i in (B/K)^*; type III has U0 = H,
+    U_i = H_mu C and nu_i = mu'.  Type II: options = the pairs (H, ext)
+    with ext extending eta from Z to one of the l + 1 intermediate H; its
+    relations are [H1, e1] - [H2, e2] for options on different H.
+
+    witness is the relation witness (type II appends (H1, H2)); labels are
+    the (key, value) pairs that name the configuration in a violation.
+    """
+
+    kind: str  # "I" | "II" | "III"
+    b: Subgroup
+    witness: tuple
+    labels: tuple
+    head: tuple = ()
+    terms: tuple = ()
+    options: tuple = ()
+
+    def relations(self):
+        """(witness, signed terms (U, chi, +1 or -1) in B) per relation."""
+        if self.kind != "II":
+            yield self.witness, ((*self.head, 1),) + tuple(
+                (u, twisted, -1) for u, _, twisted in self.terms
+            )
+            return
+        for h1, e1 in self.options:
+            for h2, e2 in self.options:
+                if h1 != h2:
+                    yield self.witness + (h1, h2), ((h1, e1, 1), (h2, e2, -1))
+
+
+def configurations(g: Group, n: Subgroup, kind: str):
+    """Every configuration of family kind ("I", "II" or "III") whose
+    subgroups contain N, with B over the subgroup class representatives."""
+    family = {"I": _type_I, "II": _type_II, "III": _type_III}[kind]
     for b in subgroup_class_reps(g):
-        bb = commutator_subgroup(b, b)
-        for z in _subgroups_of(g, b):
-            cfg = _heisenberg_config(g, b, bb, z, n)
-            if cfg is None:
-                continue
-            ell, zb = cfg
-            mids = [
-                h
-                for h in _subgroups_of(g, b)
-                if h.order == z.order * ell and h.contains_subgroup(z)
-            ]
-            assert len(mids) == ell + 1
-            etas = [
-                eta
-                for eta in characters_of(z)
-                if all(eta.exponent_of(x) == 0 for x in zb.elements)
-                and any(eta.exponent_of(x) != 0 for x in bb.elements)
-            ]
-            if etas:
-                out.append((b, z, ell, etas, mids))
+        yield from family(g, n, b)
+
+
+def _type_I(g: Group, n: Subgroup, b: Subgroup):
+    """K normal of prime index in B with K >= N; one per chi in B^*."""
+    for k in _subgroups_of(g, b):
+        index = b.order // k.order
+        if not (
+            _is_prime(index)
+            and k.contains_subgroup(n)
+            and _is_normal_in(b, k)
+        ):
+            continue
+        rel_chars = characters_trivial_on(b, k)
+        if len(rel_chars) != index:
+            raise CertificateFailed(
+                "(B/K)^* does not have (B:K) characters", witness=(b, k)
+            )
+        for chi in characters_of(b):
+            yield Configuration(
+                "I", b, (k, chi), (("K", k), ("chi", chi)),
+                head=(k, chi.restrict(k)),
+                terms=tuple((b, mu, chi.mul(mu)) for mu in rel_chars),
+            )
+
+
+def _type_II(g: Group, n: Subgroup, b: Subgroup):
+    """Z >= N in B with B/Z elementary abelian of order l^2 (so Z >= [B,B]
+    and Z is normal) and [B,B]/[Z,B] of order l; one per character eta of
+    Z that kills [Z,B] but not [B,B]."""
+    bb = commutator_subgroup(b, b)
+    subs = _subgroups_of(g, b)
+    for z in subs:
+        index = b.order // z.order
+        ell = round(index**0.5)
+        if not (
+            ell * ell == index
+            and _is_prime(ell)
+            and z.contains_subgroup(n)
+            and z.contains_subgroup(bb)
+            and all(g.power(x, ell) in z.element_set for x in b.elements)
+        ):
+            continue
+        zb = commutator_subgroup(z, b)
+        if bb.order != zb.order * ell:
+            continue
+        mids = [
+            h
+            for h in subs
+            if h.order == z.order * ell and h.contains_subgroup(z)
+        ]
+        if len(mids) != ell + 1:
+            raise CertificateFailed(
+                "B/Z does not have l + 1 subgroups of order l", witness=(b, z)
+            )
+        for eta in characters_of(z):
+            if all(eta.exponent_of(x) == 0 for x in zb.elements) and any(
+                eta.exponent_of(x) != 0 for x in bb.elements
+            ):
+                options = [(h, e) for h in mids for e in extensions_of(eta, h)]
+                yield Configuration(
+                    "II", b, (z, eta), (("Z", z), ("eta", eta)),
+                    options=tuple(options),
+                )
+
+
+def _type_III(g: Group, n: Subgroup, b: Subgroup):
+    """H maximal non-normal in B with core K >= N and its normal complement
+    C; one per chi in B^*, with mu over H-orbit representatives of (C/K)^*."""
+    for h, k, c in type_iii_configurations(b):
+        if not k.contains_subgroup(n):
+            continue
+        glued = _glued_reps(h, c, "min")
+        for chi in characters_of(b):
+            yield Configuration(
+                "III", b, (h, k, c, chi), (("H", h), ("C", c), ("chi", chi)),
+                head=(h, chi.restrict(h)),
+                terms=tuple(
+                    (u, nu, chi.restrict(u).mul(nu)) for u, nu in glued
+                ),
+            )
+
+
+def type_iii_configurations(b: Subgroup):
+    """(H, K, C) triples in B: H maximal non-normal, K its core in B, C
+    the unique normal subgroup with HC = B and H & C = K."""
+    g = b.parent
+    out = []
+    for hm in maximal_subgroups(b.as_group):
+        h = subgroup(g, [b.elements[x] for x in hm.elements])
+        if _is_normal_in(b, h):
+            continue
+        k = _core_in(b, h)
+        candidates = [
+            c
+            for c in _subgroups_of(g, b)
+            if _is_normal_in(b, c)
+            and product_set(h, c) == b
+            and intersection(h, c) == k
+        ]
+        if len(candidates) != 1:
+            raise CertificateFailed(
+                "complement is not unique", witness=(b, h, tuple(candidates))
+            )
+        out.append((h, k, candidates[0]))
     return out
-
-
-def gen_type_II(g: Group, n: Subgroup) -> list[BasicRelation]:
-    """[H1, eta^H1] - [H2, eta^H2] for Heisenberg configurations Z < B with
-    B/Z elementary of order l^2 and commutator quotient of order l."""
-    if not is_normal(g, n):
-        raise NotNormal(f"{n} is not normal")
-    full = full_subgroup(g)
-    out: list[BasicRelation] = []
-    seen: set = set()
-    for b, z, ell, etas, mids in heisenberg_configurations(g, n):
-        for eta in etas:
-            exts = {h: extensions_of(eta, h) for h in mids}
-            for h1 in mids:
-                for h2 in mids:
-                    if h1 == h2:
-                        continue
-                    for e1 in exts[h1]:
-                        _check_heisenberg_irreducible(b, e1)
-                        for e2 in exts[h2]:
-                            elt = generator(h1, e1, b, n) - generator(
-                                h2, e2, b, n
-                            )
-                            _emit(
-                                out,
-                                seen,
-                                "II",
-                                g,
-                                b,
-                                (z, eta, h1, h2),
-                                induce_rplus(elt, full),
-                            )
-    return out
-
-
-def _heisenberg_config(g, b, bb, z, n):
-    """If B/Z is elementary abelian of order l^2 with commutator quotient
-    [B,B]/[Z,B] of order l, return (l, [Z,B]); else None."""
-    if not (z.contains_subgroup(n) and _is_normal_in(b, z)):
-        return None
-    index = b.order // z.order
-    root = _prime_square_root(index)
-    if root is None:
-        return None
-    ell = root
-    if not z.contains_subgroup(bb):
-        return None
-    # exponent l: every x^l lies in Z
-    zset = z.element_set
-    if any(g.power(x, ell) not in zset for x in b.elements):
-        return None
-    zb = commutator_subgroup(z, b)
-    if bb.order != zb.order * ell:
-        return None
-    return ell, zb
-
-
-def _prime_square_root(m: int):
-    r = round(m**0.5)
-    if r * r == m and _is_prime(r):
-        return r
-    return None
 
 
 def _check_heisenberg_irreducible(b: Subgroup, ext: Character) -> None:
@@ -228,84 +276,52 @@ def _check_heisenberg_irreducible(b: Subgroup, ext: Character) -> None:
         )
 
 
-def gen_type_III(g: Group, n: Subgroup) -> list[BasicRelation]:
-    """[H, chi_H] - sum over H-orbit reps mu of (C/K)^* of
-    [H_mu C, chi * mu'], for maximal non-normal H < B with core K >= N and
-    the unique normal complement C (HC = B, H & C = K)."""
+# ---------------------------------------------------------------------------
+# the relations
+
+
+def _relations(g: Group, n: Subgroup, kind: str) -> list[BasicRelation]:
+    """The relations of every configuration of family kind, induced up to
+    G, each checked to lie in the kernel; duplicates are dropped."""
     if not is_normal(g, n):
         raise NotNormal(f"{n} is not normal")
     full = full_subgroup(g)
     out: list[BasicRelation] = []
     seen: set = set()
-    for b in subgroup_class_reps(g):
-        for h, k, c in type_iii_configurations(b):
-            if not k.contains_subgroup(n):
+    for cfg in configurations(g, n, kind):
+        for _, ext in cfg.options:
+            _check_heisenberg_irreducible(cfg.b, ext)
+        for witness, terms in cfg.relations():
+            elt = rplus(
+                full,
+                n,
+                [(pair_class(u, chi, full), sign) for u, chi, sign in terms],
+            )
+            if elt.coefficients in seen:
                 continue
-            for chi in characters_of(b):
-                elt = generator(h, chi.restrict(h), b, n)
-                for mu, h_mu in _orbit_reps_mod_h(h, c, k):
-                    prod = product_set(h_mu, c)
-                    mu_ext = glued_character(
-                        h_mu, trivial_character(h_mu), c, mu
-                    )
-                    term = chi.restrict(prod).mul(mu_ext)
-                    elt = elt - generator(prod, term, b, n)
-                _emit(
-                    out,
-                    seen,
-                    "III",
-                    g,
-                    b,
-                    (h, k, c, chi),
-                    induce_rplus(elt, full),
-                )
+            seen.add(elt.coefficients)
+            _check_kernel(elt)
+            out.append(BasicRelation(kind, g, cfg.b, witness, elt))
     return out
 
 
-def type_iii_configurations(b: Subgroup):
-    """(H, K, C) triples in B: H maximal non-normal, K its core in B, C
-    the unique normal subgroup with HC = B and H & C = K."""
-    g = b.parent
-    inner = b.as_group
-    from .groups import maximal_subgroups
-
-    out = []
-    for hm in maximal_subgroups(inner):
-        h = subgroup(g, [b.elements[x] for x in hm.elements])
-        if _is_normal_in(b, h):
-            continue
-        k = _core_in(b, h)
-        candidates = [
-            c
-            for c in _subgroups_of(g, b)
-            if _is_normal_in(b, c)
-            and product_set(h, c) == b
-            and intersection(h, c) == k
-        ]
-        assert len(candidates) == 1, "complement is not unique"
-        out.append((h, k, candidates[0]))
-    return out
+def gen_type_I(g: Group, n: Subgroup) -> list[BasicRelation]:
+    """[K, chi_K] - sum over (B/K)^* of [B, chi mu], for K normal of prime
+    index in B with K >= N, induced up from every B."""
+    return _relations(g, n, "I")
 
 
-def _orbit_reps_mod_h(h: Subgroup, c: Subgroup, k: Subgroup):
-    """Orbit representatives of (C/K)^* under H-conjugation, with their
-    stabilizers in H."""
-    chars = characters_trivial_on(c, k)
-    char_set = set(chars)
-    seen = set()
-    reps = []
-    for mu in chars:
-        if mu in seen:
-            continue
-        orbit = {conjugate_character(mu, x) for x in h.elements}
-        assert orbit <= char_set
-        seen.update(orbit)
-        stab = subgroup(
-            h.parent,
-            [x for x in h.elements if conjugate_character(mu, x) == mu],
-        )
-        reps.append((mu, stab))
-    return reps
+def gen_type_II(g: Group, n: Subgroup) -> list[BasicRelation]:
+    """[H1, eta^H1] - [H2, eta^H2] for Heisenberg configurations Z < B with
+    B/Z elementary of order l^2 and commutator quotient of order l."""
+    return _relations(g, n, "II")
+
+
+def gen_type_III(g: Group, n: Subgroup) -> list[BasicRelation]:
+    """[H, chi_H] - sum over H-orbit reps mu of (C/K)^* of
+    [H_mu C, chi * mu'], for maximal non-normal H < B with core K >= N and
+    the unique normal complement C (HC = B, H & C = K)."""
+    return _relations(g, n, "III")
 
 
 def basic_relations(

@@ -790,7 +790,8 @@ def dh1_sweep(
     p: int, f: int, ell: int, ramified: bool, lpsi: int = 0, cap: int = 4096
 ) -> dict:
     """check_DH_I over every tame character of the base field (all residue
-    parts, uniformizer values sampled in {1, zeta})."""
+    parts, uniformizer values sampled in {1, zeta}); each failing case is
+    recorded in "failures" and makes "ok" false."""
     from .errors import TooLarge
 
     base = finite_field(p, f)
@@ -806,14 +807,16 @@ def dh1_sweep(
     f_datum = base_field_of(K)
     z_samples = [(0, 1), (1, q - 1)] if q > 2 else [(0, 1), (1, 4)]
     cases = 0
+    failures = []
     for j in range(max(q - 1, 1)):
         for z_num, z_den in z_samples:
-            assert check_DH_I(K, tame_char(f_datum, j, z_num, z_den)), (
-                f"DH_I failed at q={q}, l={ell}, ramified={ramified}, "
-                f"j={j}, z=zeta_{z_den}^{z_num}"
-            )
+            if not check_DH_I(K, tame_char(f_datum, j, z_num, z_den)):
+                failures.append({"j": j, "z": (z_num, z_den)})
             cases += 1
-    return {"q": q, "ell": ell, "ramified": ramified, "cases": cases, "ok": True}
+    return {
+        "q": q, "ell": ell, "ramified": ramified, "cases": cases,
+        "ok": not failures, "failures": failures,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +833,8 @@ def check_DH_III_tame(p: int, f: int, ell: int, lpsi: int = 0, cap: int = 256) -
 
     where mu runs over one representative per Frobenius orbit of the
     nontrivial elements of S(K|L) (the root numbers are checked to be
-    orbit-independent)."""
+    orbit-independent).  Each failing orbit or case is recorded in
+    "failures" and makes "ok" false."""
     base = finite_field(p, f)
     q = base.q
     if not _is_prime(ell):
@@ -860,6 +864,7 @@ def check_DH_III_tame(p: int, f: int, ell: int, lpsi: int = 0, cap: int = 256) -
     # Frobenius orbits: j -> q*j on residue parts, z fixed
     by_j = {mu.j: mu for mu in s_chars}
     orbits = []
+    failures = []
     seen = set()
     for mu in s_chars:
         if mu.j in seen:
@@ -873,9 +878,8 @@ def check_DH_III_tame(p: int, f: int, ell: int, lpsi: int = 0, cap: int = 256) -
         assert len(orbit) == m, "Frobenius orbits must have length m"
         # orbit-independence of the root numbers
         first = root_number(orbit[0])
-        assert all(root_number(nu) == first for nu in orbit[1:]), (
-            "root number not constant on a Frobenius orbit"
-        )
+        if not all(root_number(nu) == first for nu in orbit[1:]):
+            failures.append({"orbit": [nu.j for nu in orbit]})
         orbits.append(min(orbit, key=lambda nu: nu.j))
     assert len(orbits) == (ell - 1) // m
     # inversion permutes the orbits (so for odd total degree a rep system
@@ -899,11 +903,13 @@ def check_DH_III_tame(p: int, f: int, ell: int, lpsi: int = 0, cap: int = 256) -
             for mu in orbits:
                 lhs = lhs * root_number(mu)
                 rhs = rhs * root_number(chi_l.mul(mu))
-            assert lhs == rhs, (
-                f"DH_III failed at q={q}, l={ell}, j={j}, z=zeta_{z_den}^{z_num}"
-            )
+            if lhs != rhs:
+                failures.append({"j": j, "z": (z_num, z_den)})
             cases += 1
-    return {"q": q, "ell": ell, "m": m, "cases": cases, "ok": True}
+    return {
+        "q": q, "ell": ell, "m": m, "cases": cases,
+        "ok": not failures, "failures": failures,
+    }
 
 
 def _frob_orbit_js(j: int, q: int, mod: int) -> list[int]:

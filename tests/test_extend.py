@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 
 from monomial.brauer import dim0_presentation, pair_class, pair_classes
-from monomial.catalog import catalog_group
+from monomial.catalog import catalog_group, catalog_names
 from monomial.characters import (
     character_class_function,
     characters_of,
@@ -14,6 +16,7 @@ from monomial.extend import (
     DeltaFunction,
     FreeAbelianGroup,
     LambdaEngine,
+    _violations,
     check_condition_I,
     check_condition_II,
     check_condition_III,
@@ -26,7 +29,15 @@ from monomial.extend import (
     uniqueness_check,
     verify_tower,
 )
-from monomial.groups import full_subgroup, subgroup, trivial_subgroup
+from monomial.groups import (
+    center,
+    derived_subgroup,
+    full_subgroup,
+    subgroup,
+    trivial_subgroup,
+)
+from monomial.relations import configurations
+from monomial.tame import galois_delta
 
 
 def test_free_abelian_group():
@@ -205,3 +216,53 @@ def test_irreducibles_mod_derived():
     assert len(irreducibles_mod_derived(full_subgroup(s3), a3)) == 3
     # A3/[A3,A3] = A3: three linear characters
     assert len(irreducibles_mod_derived(a3, a3)) == 3
+
+
+def _link_verdicts(g, delta) -> Counter:
+    """Per configuration: (kind, its condition holds, the verdicts agree).
+
+    The relations of a configuration are evaluated in its B: the product
+    over their terms (U, chi, sign) of (Delta(U, chi) * lambda_U^B)^sign.
+    The condition should hold exactly when every one of them is 1."""
+    n, vg = delta.lower, delta.group
+    engine = LambdaEngine(delta, check_independence=False)
+    out = Counter()
+    for kind in ("I", "II", "III"):
+        for cfg in configurations(g, n, kind):
+            holds = not _violations(cfg, delta)
+            trivial = []
+            for _, terms in cfg.relations():
+                val = vg.one()
+                for u, chi, sign in terms:
+                    lam = engine._value(u, n, cfg.b, "min")
+                    term = vg.mul(delta.value(u, chi), lam)
+                    val = vg.mul(val, vg.pow(term, sign))
+                trivial.append(vg.eq(val, vg.one()))
+            out[kind, holds, holds == all(trivial)] += 1
+    return out
+
+
+def test_conditions_match_relations_on_the_catalog():
+    # each condition is the Delta-evaluation of its own relations inside
+    # B: constant and generic Delta on every catalog group with N trivial,
+    # the center and the derived subgroup, and the Galois-model Delta
+    verdicts = Counter()
+    for name in catalog_names():
+        g = catalog_group(name)
+        lowers = {f(g) for f in (trivial_subgroup, center, derived_subgroup)}
+        for n in lowers:
+            constant = constant_delta(g, n, FreeAbelianGroup())
+            verdicts += _link_verdicts(g, constant)
+            verdicts += _link_verdicts(g, generic_delta(g, n))
+    for model, kw in (
+        ("s3", dict(p=2, f=1, ell=3)),
+        ("unramified", dict(p=2, f=1, degree=4)),
+        ("kummer", dict(p=7, f=1, ell=3, lpsi=1)),
+        ("bikummer", dict(p=3, f=1, ell=2)),
+    ):
+        d = galois_delta(model, **kw)
+        verdicts += _link_verdicts(d.ambient.parent, d)
+    assert not [key for key in verdicts if not key[2]], verdicts
+    # both directions are exercised for every family
+    for kind in ("I", "II", "III"):
+        assert verdicts[kind, True, True] and verdicts[kind, False, True]

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from monomial import relations
 from monomial.brauer import (
     brauer_map,
     coordinates,
@@ -15,6 +16,7 @@ from monomial.brauer import (
 )
 from monomial.catalog import catalog_group
 from monomial.characters import characters_of, trivial_character
+from monomial.errors import CertificateFailed
 from monomial.groups import (
     full_subgroup,
     subgroup,
@@ -118,6 +120,19 @@ def test_type_III_configuration_a4():
             4,
             12,
         ]
+
+
+def test_second_complement_is_refused(monkeypatch):
+    # listing every subgroup of B twice gives each H two complements: a
+    # typed refusal with the configuration as witness, not an assert
+    s3 = catalog_group("S3")
+    real = relations._subgroups_of
+    monkeypatch.setattr(relations, "_subgroups_of", lambda g, b: real(g, b) * 2)
+    with pytest.raises(CertificateFailed) as exc:
+        gen_type_III(s3, trivial_subgroup(s3))
+    b, h, candidates = exc.value.witness
+    assert b == full_subgroup(s3) and h.order == 2
+    assert candidates == (subgroup(s3, [0, 1, 2]),) * 2
 
 
 def test_twist_stability():

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -245,6 +248,44 @@ def test_dh3_instances_and_refusals():
         check_DH_III_tame(3, 1, 3)
     with pytest.raises(TooLarge):
         check_DH_III_tame(7, 1, 5)  # residue field 7^4 over the cap
+
+
+# Every DH_I check and every root-number comparison is made to fail; the
+# sweeps must report it and the CLI must say so, with and without -O.
+_INJECT_FAILURES = """
+from click.testing import CliRunner
+from monomial import cli, tame
+
+tame.check_DH_I = lambda K, chi: False
+tame.RootValue.__eq__ = lambda self, other: False
+dh1 = tame.dh1_sweep(5, 1, 2, True)
+dh3 = tame.check_DH_III_tame(2, 1, 3)
+print(dh1["ok"], dh1["failures"][0], len(dh1["failures"]) == dh1["cases"])
+print(dh3["ok"], len(dh3["failures"]) == dh3["cases"] + 1)
+for args in (["dh1", "--q", "5", "--ell", "2", "--ramified"],
+             ["dh3", "--q", "2", "--ell", "3"]):
+    res = CliRunner().invoke(cli.main, ["tame", *args])
+    print(res.exit_code, res.output.split()[-1])
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_tame_failures_are_verdicts(flags):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", _INJECT_FAILURES],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.split("\n")
+    assert out[:4] == [
+        "False {'j': 0, 'z': (0, 1)} True",
+        "False True",
+        "1 verdict=fail",
+        "1 verdict=fail",
+    ]
 
 
 def test_cycvec_zero_test():
