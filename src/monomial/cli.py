@@ -78,7 +78,13 @@ def _parse_n(g, selector: str):
         return center(g)
     if sel == "derived":
         return derived_subgroup(g)
-    elements = [int(tok) for tok in selector.replace(",", " ").split()]
+    try:
+        elements = [int(tok) for tok in selector.replace(",", " ").split()]
+    except ValueError:
+        raise click.ClickException(
+            f"N selector {selector!r} is not trivial, full, center, derived "
+            "or a list of elements"
+        ) from None
     n = closure(g, elements)
     if sorted(n.elements) != sorted(set(elements) | {0}):
         raise click.ClickException(
@@ -98,6 +104,22 @@ def _parse_prime_power(q: int) -> tuple[int, int]:
                 raise click.ClickException("q must be a prime power")
             return p, f
     raise click.ClickException("q must be a prime power >= 2")
+
+
+def _campaign_params(tokens: list[str], raw: str) -> dict[str, str]:
+    bad = next((t for t in tokens if "=" not in t), None)
+    if bad is not None:
+        raise click.ClickException(f"campaign token {bad!r} is not key=value in {raw!r}")
+    return dict(t.split("=", 1) for t in tokens)
+
+
+def _int_param(check_name: str, params: dict[str, str], key: str) -> int:
+    try:
+        return int(params[key])
+    except (KeyError, ValueError):
+        raise click.ClickException(
+            f"check {check_name} needs an integer {key}=..., got {params.get(key)!r}"
+        ) from None
 
 
 def _group_targets(name: str | None, max_order: int | None):
@@ -475,17 +497,18 @@ def _campaign_check(check_name, params, targets, lines) -> bool:
                 lines.append(f"towers {nm} issues={len(issues)}")
                 ok = ok and not issues
     elif check_name == "dh1":
-        p, f = _parse_prime_power(int(params["q"]))
+        p, f = _parse_prime_power(_int_param(check_name, params, "q"))
+        ell = _int_param(check_name, params, "ell")
         ramified = params.get("ramified", "false").lower() in ("true", "1", "yes")
-        report = dh1_sweep(p, f, int(params["ell"]), ramified)
+        report = dh1_sweep(p, f, ell, ramified)
         lines.append(
             f"dh1 q={params['q']} ell={params['ell']} ramified={ramified} "
             f"ok={report['ok']}"
         )
         ok = ok and report["ok"]
     elif check_name == "dh3":
-        p, f = _parse_prime_power(int(params["q"]))
-        report = check_DH_III_tame(p, f, int(params["ell"]))
+        p, f = _parse_prime_power(_int_param(check_name, params, "q"))
+        report = check_DH_III_tame(p, f, _int_param(check_name, params, "ell"))
         lines.append(f"dh3 q={params['q']} ell={params['ell']} ok={report['ok']}")
         ok = ok and report["ok"]
     else:
@@ -506,17 +529,14 @@ def campaign_run(file, out):
         if not line:
             continue
         tokens = line.split()
-        if tokens[0] == "target":
-            name = tokens[1]
-            params = dict(t.split("=", 1) for t in tokens[2:])
-            g = _resolve_group(name)
-            n = _parse_n(g, params.get("N", "trivial"))
-            targets.append((name, g, n))
-        elif tokens[0] == "check":
-            params = dict(t.split("=", 1) for t in tokens[2:])
-            checks.append((tokens[1], params))
-        else:
+        if tokens[0] not in ("target", "check") or len(tokens) < 2:
             raise click.ClickException(f"bad campaign line: {raw!r}")
+        params = _campaign_params(tokens[2:], raw)
+        if tokens[0] == "target":
+            g = _resolve_group(tokens[1])
+            targets.append((tokens[1], g, _parse_n(g, params.get("N", "trivial"))))
+        else:
+            checks.append((tokens[1], params))
     lines = []
     ok = True
     for check_name, params in checks:

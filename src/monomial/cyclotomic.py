@@ -175,9 +175,6 @@ class Cyclotomic:
     def is_one(self) -> bool:
         return self.coeffs == (Fraction(1),)
 
-    def is_rational(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def as_rational(self) -> Fraction:
         if not self.coeffs:
             return Fraction(0)

@@ -106,3 +106,7 @@ class DegenerateCase(MonomialError):
 
 class UnsupportedModel(MonomialError):
     """galois_delta asked for a model outside the supported list."""
+
+
+class PrimeMismatch(MonomialError):
+    """Root values c * p^(k/2) at different primes p were combined."""

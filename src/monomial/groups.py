@@ -163,9 +163,6 @@ class Subgroup:
     def contains_subgroup(self, other: "Subgroup") -> bool:
         return other.element_set <= self.element_set
 
-    def index_in(self, other: "Subgroup") -> int:
-        return other.order // self.order
-
     @cached_property
     def as_group(self) -> "Group":
         """This subgroup as an abstract Group on its own element labels
@@ -200,16 +197,6 @@ class QuotientMap:
             self.source,
             [x for x in range(self.source.order) if self.projection[x] in target],
         )
-
-    @cached_property
-    def section(self) -> tuple[int, ...]:
-        """Least preimage of each quotient element."""
-        sec = [None] * self.quotient.order
-        for x in range(self.source.order):
-            q = self.projection[x]
-            if sec[q] is None:
-                sec[q] = x
-        return tuple(sec)
 
 
 # ---------------------------------------------------------------------------

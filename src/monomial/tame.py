@@ -1,11 +1,17 @@
 """Exact tame local constants: finite fields, Gauss sums, root numbers,
 norm transport, the lifting identities, and Galois-group Delta models.
 
-Everything is exact.  Small instances run on dense cyclotomic arithmetic;
-the large-field identities use an integer coefficient-vector representation
-modulo x^M - 1 whose zero test is rigorous (a nonzero algebraic integer has
-a conjugate of absolute value >= 1, so checking every embedding numerically
-below 1/2 with a guaranteed error bound decides exact vanishing).
+Everything is exact, and each quantity has one construction.  The trace
+F_q -> F_p is a linear form: an element's digits against Tr(x^i), the power
+sums of the modulus's roots.  A Gauss sum is read off its support, the
+pairs (unit exponent, trace) over F_q^*, and a root number is that support
+shifted by the uniformizer and chibar(e) twists.  Both representations are
+built from these exponent pairs: the dense Cyclotomic values (gauss_sum,
+root_number) and the integer vectors modulo x^M - 1 (CycVec) that the
+large-field identities multiply.  The CycVec zero test is rigorous: a
+nonzero algebraic integer has a conjugate of absolute value >= 1, so
+checking every embedding numerically below 1/2 with a guaranteed error
+bound decides exact vanishing.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from .errors import (
     DegenerateCase,
     NotAbelianTameCase,
     NotTame,
+    PrimeMismatch,
+    TooLarge,
     UnsupportedModel,
 )
 
@@ -122,17 +130,26 @@ class FiniteField:
         self.f = f
         self.q = p**f
         self.modulus = self._least_irreducible()
+        self._power_traces = self._power_sums()
         self._build_tables()
 
     def _least_irreducible(self):
         p, f = self.p, self.f
-        if f == 1:
-            return (0, 1)
         for enc in range(p**f):
             coeffs = self._decode(enc) + [1]
             if _is_irreducible(coeffs, p):
                 return tuple(coeffs)
         raise AssertionError("no irreducible polynomial found")
+
+    def _power_sums(self) -> tuple[int, ...]:
+        """Tr(x^i) for i < f: the power sums s_i of the modulus's roots,
+        by Newton's identities s_k = -(c_{f-1} s_{k-1} + ... + c_{f-k+1} s_1
+        + k c_{f-k}) for the monic modulus sum c_i x^i, and s_0 = f."""
+        c, p, f = self.modulus, self.p, self.f
+        s = [f % p]
+        for k in range(1, f):
+            s.append(-(sum(c[f - i] * s[k - i] for i in range(1, k)) + k * c[f - k]) % p)
+        return tuple(s)
 
     def _decode(self, enc: int):
         p = self.p
@@ -151,9 +168,6 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         ca, cb = self._decode(a), self._decode(b)
         return self._encode([(x + y) % self.p for x, y in zip(ca, cb)])
-
-    def neg(self, a: int) -> int:
-        return self._encode([(-c) % self.p for c in self._decode(a)])
 
     def _raw_mul(self, a: int, b: int) -> int:
         prod = _poly_mul_p(self._decode(a), self._decode(b), self.p)
@@ -205,15 +219,13 @@ class FiniteField:
         return self.exp[(self.log[a] * e) % (self.q - 1)]
 
     def trace(self, a: int) -> int:
-        """Absolute trace to F_p, returned as an integer in [0, p)."""
+        """Absolute trace to F_p, returned as an integer in [0, p): the
+        F_p-linear form taking the digits of a against Tr(x^i)."""
         total = 0
-        cur = a
-        for _ in range(self.f):
-            total = self.add(total, cur)
-            cur = self.pow(cur, self.p) if cur else 0
-        coeffs = self._decode(total)
-        assert all(c == 0 for c in coeffs[1:])
-        return coeffs[0]
+        for s in self._power_traces:
+            a, digit = divmod(a, self.p)
+            total += digit * s
+        return total % self.p
 
     def embedding_root(self, big: "FiniteField") -> int:
         """The least root in `big` of this field's modulus (an explicit
@@ -246,24 +258,32 @@ def finite_field(p: int, f: int) -> FiniteField:
 
 
 # ---------------------------------------------------------------------------
-# Gauss sums (dense cyclotomic form)
+# Gauss sums
+
+
+@lru_cache(maxsize=None)
+def _gauss_support(p: int, f: int, j: int) -> tuple[tuple[int, int], ...]:
+    """Support of the Gauss sum as (unit exponent mod q-1, trace mod p)."""
+    ff = finite_field(p, f)
+    q1 = ff.q - 1
+    return tuple(((-j * k) % q1, ff.trace(ff.exp[k])) for k in range(q1))
+
+
+def _gauss_pairs(M: int, ff: FiniteField, j: int) -> list[tuple[int, int]]:
+    """The Gauss sum as (exponent mod M, coefficient) pairs in Z[zeta_M];
+    M is a multiple of q - 1 and p."""
+    assert M % (ff.q - 1) == 0 and M % ff.p == 0
+    unit_scale, add_scale = M // (ff.q - 1), M // ff.p
+    return [(u * unit_scale + t * add_scale, 1) for u, t in _gauss_support(ff.p, ff.f, j)]
 
 
 @lru_cache(maxsize=None)
 def gauss_sum(p: int, f: int, j: int) -> Cyclotomic:
     """sum over x in F_q^* of chibar^{-1}(x) psibar(x), where chibar is
     the j-th power of the canonical character (generator to zeta_{q-1})
-    and psibar(x) = zeta_p^{Tr(x)}."""
-    ff = finite_field(p, f)
-    q = ff.q
-    total = Cyclotomic.zero()
-    for k in range(q - 1):
-        x = ff.exp[k]
-        e = (-j * k) % (q - 1) if q > 2 else 0
-        term = Cyclotomic.root_of_unity(q - 1, e) if q > 2 else Cyclotomic.from_rational(1)
-        term = term * Cyclotomic.root_of_unity(p, ff.trace(x))
-        total = total + term
-    return total
+    and psibar(x) = zeta_p^{Tr(x)}, in Q(zeta_lcm(q-1, p))."""
+    M = lcm(p**f - 1, p)
+    return CycVec.from_pairs(M, _gauss_pairs(M, finite_field(p, f), j)).to_cyclotomic()
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +296,14 @@ class RootValue:
     c: Cyclotomic
     k: int  # the value is c * p^(k/2); normalized to k in {0, 1}
 
+    def _same_prime(self, other: "RootValue") -> None:
+        if self.p != other.p:
+            raise PrimeMismatch(f"root values at p = {self.p} and p = {other.p}")
+
     def __eq__(self, other):
         if not isinstance(other, RootValue):
             return NotImplemented
-        assert self.p == other.p
+        self._same_prime(other)
         if self.k == other.k:
             return self.c == other.c
         lo, hi = (self, other) if self.k < other.k else (other, self)
@@ -289,7 +313,7 @@ class RootValue:
         return hash((self.p, self.k))
 
     def __mul__(self, other):
-        assert self.p == other.p
+        self._same_prime(other)
         return root_value(self.p, self.c * other.c, self.k + other.k)
 
     def inverse(self):
@@ -397,10 +421,6 @@ class TameChar:
     def a(self) -> int:
         return 0 if self.j % (self.field.q - 1 or 1) == 0 else 1
 
-    @property
-    def z(self) -> Cyclotomic:
-        return Cyclotomic.root_of_unity(self.z_den, self.z_num)
-
     def residue_value(self, x: int) -> Cyclotomic:
         """chibar at a nonzero residue element."""
         ff = self.field.residue
@@ -410,14 +430,8 @@ class TameChar:
 
     def mul(self, other: "TameChar") -> "TameChar":
         assert self.field == other.field
-        den = lcm(self.z_den, other.z_den)
-        num = (
-            self.z_num * (den // self.z_den)
-            + other.z_num * (den // other.z_den)
-        ) % den
-        return tame_char(
-            self.field, (self.j + other.j) % (self.field.q - 1 or 1), num, den
-        )
+        num, den = _root_mul((self.z_num, self.z_den), (other.z_num, other.z_den))
+        return tame_char(self.field, self.j + other.j, num, den)
 
     def inverse(self) -> "TameChar":
         return tame_char(
@@ -426,12 +440,6 @@ class TameChar:
             (-self.z_num) % self.z_den,
             self.z_den,
         )
-
-    def order_of_residue_part(self) -> int:
-        q1 = self.field.q - 1
-        if q1 == 0:
-            return 1
-        return q1 // gcd(self.j, q1)
 
 
 def tame_char(
@@ -452,25 +460,34 @@ def tame_char(
     return chi
 
 
-def root_number(chi: TameChar) -> RootValue:
-    """z^(a - lpsi) * q_E^(-a/2) * (Gauss sum if a = 1)."""
-    field = chi.field
-    a = chi.a
-    z_pow = Cyclotomic.root_of_unity(
-        chi.z_den, chi.z_num * (a - field.lpsi) % chi.z_den
-    )
-    if a == 0:
-        return root_value(field.p, z_pow, 0)
-    g = gauss_sum(field.p, field.residue.f, chi.j)
-    if field.e > 1:
-        # the additive character of a ramified E reduces to
-        # psibar(e * x), so the Gauss sum picks up chibar(e)
-        g = g * chi.residue_value(field.e % field.p)
-    return root_value(field.p, z_pow * g, -field.residue.f)
-
-
 def twist_exponent(chi: TameChar) -> int:
     return chi.a - chi.field.lpsi
+
+
+def _root_number_pairs(M: int, chi: TameChar) -> tuple[list[tuple[int, int]], int]:
+    """Delta(chi) = z^(a - lpsi) * (chibar(e) * G(chibar) * p^(-f/2) if
+    a = 1) as (exponent mod M, coefficient) pairs in Z[zeta_M] and the
+    half-power k of p; M is a multiple of z_den, and of q - 1 and p if
+    a = 1."""
+    field = chi.field
+    assert M % chi.z_den == 0
+    zexp = chi.z_num * (M // chi.z_den) * twist_exponent(chi)
+    if chi.a == 0:
+        return [(zexp % M, 1)], 0
+    ff = field.residue
+    # the additive character of a ramified E reduces to psibar(e * x),
+    # so the Gauss sum picks up chibar(e) (a trivial twist when e = 1)
+    zexp += chi.j * ff.log[field.e % field.p] * (M // (ff.q - 1))
+    return [((zexp + x) % M, c) for x, c in _gauss_pairs(M, ff, chi.j)], -ff.f
+
+
+def root_number(chi: TameChar) -> RootValue:
+    """Delta(chi) in Q(zeta_M), M = z_den if chi is unramified and
+    lcm(z_den, q - 1, p) otherwise."""
+    field = chi.field
+    M = chi.z_den if chi.a == 0 else lcm(chi.z_den, field.q - 1, field.p)
+    pairs, k = _root_number_pairs(M, chi)
+    return root_value(field.p, CycVec.from_pairs(M, pairs).to_cyclotomic(), k)
 
 
 def conductor_inductivity(e, f, d, a_k, dim, lpsi) -> dict:
@@ -482,12 +499,17 @@ def conductor_inductivity(e, f, d, a_k, dim, lpsi) -> dict:
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 
-def residue_minus_one_value(chi: TameChar) -> Cyclotomic:
-    """chi(-1) (a unit evaluation, so only the residue part matters)."""
-    ff = chi.field.residue
+def _minus_one_root(ff: FiniteField, j: int) -> tuple[int, int]:
+    """chibar_j(-1) as a root-of-unity pair (num, den)."""
     if ff.p == 2:
-        return Cyclotomic.from_rational(1)
-    return Cyclotomic.root_of_unity(ff.q - 1, chi.j * (ff.q - 1) // 2)
+        return 0, 1
+    return (j * (ff.q - 1) // 2) % (ff.q - 1), ff.q - 1
+
+
+def _root_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The product of two root-of-unity pairs (num, den)."""
+    den = lcm(a[1], b[1])
+    return (a[0] * (den // a[1]) + b[0] * (den // b[1])) % den, den
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +526,7 @@ def residue_minus_one_value(chi: TameChar) -> Cyclotomic:
 
 import numpy as _np
 
-_COEFF_LIMIT = 2**52
+_COEFF_LIMIT = 2**62
 
 
 @lru_cache(maxsize=None)
@@ -523,46 +545,45 @@ class CycVec:
         assert self.arr.shape == (M,)
 
     @staticmethod
-    def zero(M: int) -> "CycVec":
-        return CycVec(M, _np.zeros(M, dtype=_np.int64))
-
-    @staticmethod
     def from_pairs(M: int, pairs) -> "CycVec":
         arr = _np.zeros(M, dtype=_np.int64)
         for e, c in pairs:
             arr[e % M] += c
         return CycVec(M, arr)
 
-    def __add__(self, other: "CycVec") -> "CycVec":
-        assert self.M == other.M
-        return CycVec(self.M, self.arr + other.arr)
-
     def __sub__(self, other: "CycVec") -> "CycVec":
         assert self.M == other.M
         return CycVec(self.M, self.arr - other.arr)
 
-    def scale(self, c: int) -> "CycVec":
-        out = self.arr * c
-        assert abs(out).max(initial=0) < _COEFF_LIMIT
-        return CycVec(self.M, out)
+    def _bound_product(self, factor: int) -> None:
+        """Refuse a product whose coefficients, at most max|coefficient|
+        times `factor` (a scalar's size or a vector's l1 norm), could reach
+        the int64-safe limit; computed in Python integers before any
+        fixed-width arithmetic runs."""
+        top = max(int(self.arr.max(initial=0)), -int(self.arr.min(initial=0)))
+        if top * factor >= _COEFF_LIMIT:
+            raise TooLarge(
+                f"CycVec product bound {top} * {factor} reaches 2^62 at M = {self.M}"
+            )
 
-    def shift(self, e: int) -> "CycVec":
-        """Multiplication by x^e."""
-        return CycVec(self.M, _np.roll(self.arr, e % self.M))
+    def scale(self, c: int) -> "CycVec":
+        self._bound_product(abs(c))
+        return CycVec(self.M, self.arr * c)
 
     def __mul__(self, other: "CycVec") -> "CycVec":
         assert self.M == other.M
         a, b = self, other
         if _np.count_nonzero(a.arr) < _np.count_nonzero(b.arr):
             a, b = b, a
+        support = [(int(e), int(b.arr[e])) for e in _np.nonzero(b.arr)[0]]
+        a._bound_product(sum(abs(c) for _, c in support))
         out = _np.zeros(self.M, dtype=_np.int64)
-        for e in _np.nonzero(b.arr)[0]:
-            out += _np.roll(a.arr, int(e)) * int(b.arr[e])
-        assert abs(out).max(initial=0) < _COEFF_LIMIT
+        for e, c in support:
+            out += _np.roll(a.arr, e) * c
         return CycVec(self.M, out)
 
     def is_zero(self) -> bool:
-        total = int(_np.abs(self.arr).sum())
+        total = float(_np.abs(self.arr).sum(dtype=_np.float64))  # cannot wrap
         if total == 0:
             return True
         fft_err = 1e-12 * total * (self.M.bit_length() + 4)
@@ -601,42 +622,14 @@ def _sqrt_vec(M: int, p: int) -> CycVec:
     return CycVec.from_pairs(M, [(e * scale, c) for e, c in pairs])
 
 
-@lru_cache(maxsize=None)
-def _gauss_support(p: int, f: int, j: int) -> tuple[tuple[int, int], ...]:
-    """Support of the Gauss sum as (unit exponent mod q-1, trace mod p)."""
-    ff = finite_field(p, f)
-    q = ff.q
-    out = []
-    for k in range(q - 1):
-        u = (-j * k) % (q - 1) if q > 2 else 0
-        out.append((u, ff.trace(ff.exp[k])))
-    return tuple(out)
-
-
 def _gauss_vec(M: int, ff: FiniteField, j: int) -> CycVec:
-    unit_scale = M // (ff.q - 1) if ff.q > 2 else 0
-    add_scale = M // ff.p
-    pairs = [
-        (u * unit_scale + t * add_scale, 1)
-        for u, t in _gauss_support(ff.p, ff.f, j)
-    ]
-    return CycVec.from_pairs(M, pairs)
+    return CycVec.from_pairs(M, _gauss_pairs(M, ff, j))
 
 
 def _delta_vec(M: int, chi: TameChar) -> tuple[CycVec, int]:
     """The root number as (vector, k) with value vec * p^(k/2)."""
-    field = chi.field
-    a = chi.a
-    assert M % chi.z_den == 0 and M % field.p == 0
-    zexp = (chi.z_num * (M // chi.z_den) * (a - field.lpsi)) % M
-    if a == 0:
-        return CycVec.from_pairs(M, [(zexp, 1)]), 0
-    ff = field.residue
-    assert ff.q == 2 or M % (ff.q - 1) == 0
-    if field.e > 1 and ff.q > 2:
-        # chibar(e) twist from the ramified additive character
-        zexp = (zexp + chi.j * ff.log[field.e % field.p] * (M // (ff.q - 1))) % M
-    return _gauss_vec(M, ff, chi.j).shift(zexp), -ff.f
+    pairs, k = _root_number_pairs(M, chi)
+    return CycVec.from_pairs(M, pairs), k
 
 
 # ---------------------------------------------------------------------------
@@ -650,20 +643,21 @@ def _embedding_data(small: FiniteField, big: FiniteField):
     return root, back
 
 
-def _minus_one_root(ff: FiniteField, j: int) -> tuple[int, int]:
-    """chibar_j(-1) as a root-of-unity pair (num, den)."""
-    if ff.p == 2:
-        return 0, 1
-    return (j * (ff.q - 1) // 2) % (ff.q - 1), ff.q - 1
+def _swept_characters(field: TameField):
+    """Every residue part of `field`'s characters, each with the uniformizer
+    values 1 and a primitive (q-1)-th root of unity (zeta_4 when q = 2)."""
+    q = field.q
+    for j in range(max(q - 1, 1)):
+        for z_num, z_den in [(0, 1), (1, q - 1)] if q > 2 else [(0, 1), (1, 4)]:
+            yield tame_char(field, j, z_num, z_den)
 
 
-def _root_pow(num: int, den: int, e: int) -> tuple[int, int]:
-    return (num * e) % den, den
-
-
-def _root_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    den = lcm(a[1], b[1])
-    return (a[0] * (den // a[1]) + b[0] * (den // b[1])) % den, den
+def _multiplicative_order(q: int, ell: int) -> int:
+    """ord(q mod ell) for ell prime to q."""
+    m = 1
+    while pow(q, m, ell) != 1:
+        m += 1
+    return m
 
 
 def base_field_of(K: TameField) -> TameField:
@@ -690,15 +684,14 @@ def norm_transport(K: TameField, chi: TameChar) -> TameChar:
             j_k = (chi.j * m0 * idx) % (big.q - 1)
         else:
             j_k = 0
-        num, den = _root_pow(chi.z_num, chi.z_den, ell)
-        return tame_char(K, j_k, num, den)
+        return tame_char(K, j_k, chi.z_num * ell, chi.z_den)
     if not _is_prime(ell):
         raise NotAbelianTameCase(f"ramified degree {ell} is not prime")
     if K.f == 1:
         # totally tame: residue norm x -> x^l, N(pi_K) = (-1)^(l-1) pi
         # (the Eisenstein convention x^l - pi)
         j_k = (ell * chi.j) % (q - 1) if q > 2 else 0
-        sign = _root_pow(*_minus_one_root(base, chi.j), ell - 1)
+        sign = _minus_one_root(base, chi.j * (ell - 1))
         num, den = _root_mul((chi.z_num, chi.z_den), sign)
         return tame_char(K, j_k, num, den)
     raise NotAbelianTameCase("mixed ramified/inert extensions are unsupported")
@@ -725,7 +718,7 @@ def norm_characters(K: TameField) -> list[TameChar]:
         out = []
         for t in range(ell):
             j_t = t * (q - 1) // ell
-            num, den = _root_pow(*_minus_one_root(base, j_t), ell - 1)
+            num, den = _minus_one_root(base, j_t * (ell - 1))
             out.append(tame_char(f_datum, j_t, num, den))
         return out
     raise NotAbelianTameCase("mixed ramified/inert extensions are unsupported")
@@ -792,8 +785,6 @@ def dh1_sweep(
     """check_DH_I over every tame character of the base field (all residue
     parts, uniformizer values sampled in {1, zeta}); each failing case is
     recorded in "failures" and makes "ok" false."""
-    from .errors import TooLarge
-
     base = finite_field(p, f)
     q = base.q
     if ramified:
@@ -804,15 +795,12 @@ def dh1_sweep(
         if q**ell > cap:
             raise TooLarge(f"residue field size {q**ell} exceeds cap {cap}")
         K = tame_field(base, 1, ell, lpsi)
-    f_datum = base_field_of(K)
-    z_samples = [(0, 1), (1, q - 1)] if q > 2 else [(0, 1), (1, 4)]
     cases = 0
     failures = []
-    for j in range(max(q - 1, 1)):
-        for z_num, z_den in z_samples:
-            if not check_DH_I(K, tame_char(f_datum, j, z_num, z_den)):
-                failures.append({"j": j, "z": (z_num, z_den)})
-            cases += 1
+    for chi in _swept_characters(base_field_of(K)):
+        if not check_DH_I(K, chi):
+            failures.append({"j": chi.j, "z": (chi.z_num, chi.z_den)})
+        cases += 1
     return {
         "q": q, "ell": ell, "ramified": ramified, "cases": cases,
         "ok": not failures, "failures": failures,
@@ -845,12 +833,8 @@ def check_DH_III_tame(p: int, f: int, ell: int, lpsi: int = 0, cap: int = 256) -
         raise DegenerateCase(
             f"l = {ell} divides q - 1 = {q - 1}; use the abelian identity"
         )
-    m = 1
-    while pow(q, m, ell) != 1:
-        m += 1
+    m = _multiplicative_order(q, ell)
     if q**m > cap:
-        from .errors import TooLarge
-
         raise TooLarge(f"residue field size {q**m} exceeds cap {cap}")
     l_res = finite_field(p, f * m)
     f_datum = tame_field(base, 1, 1, lpsi)
@@ -859,53 +843,39 @@ def check_DH_III_tame(p: int, f: int, ell: int, lpsi: int = 0, cap: int = 256) -
     l_datum = tame_field(l_res, 1, 1, l_over_f.lpsi)  # L as a base field
     k_over_l = tame_field(l_res, ell, 1, l_over_f.lpsi)  # K = L(pi^(1/l))
 
-    s_chars = [mu for mu in norm_characters(k_over_l) if mu.j != 0]
-    assert len(s_chars) == ell - 1
+    by_j = {mu.j: mu for mu in norm_characters(k_over_l) if mu.j != 0}
+    assert len(by_j) == ell - 1
     # Frobenius orbits: j -> q*j on residue parts, z fixed
-    by_j = {mu.j: mu for mu in s_chars}
-    orbits = []
-    failures = []
-    seen = set()
-    for mu in s_chars:
-        if mu.j in seen:
-            continue
-        orbit = []
-        j_cur = mu.j
-        while j_cur not in seen:
-            seen.add(j_cur)
-            orbit.append(by_j[j_cur])
-            j_cur = (q * j_cur) % (l_res.q - 1)
-        assert len(orbit) == m, "Frobenius orbits must have length m"
-        # orbit-independence of the root numbers
-        first = root_number(orbit[0])
-        if not all(root_number(nu) == first for nu in orbit[1:]):
-            failures.append({"orbit": [nu.j for nu in orbit]})
-        orbits.append(min(orbit, key=lambda nu: nu.j))
-    assert len(orbits) == (ell - 1) // m
+    orbit_js = []
+    for j in by_j:
+        if all(j not in js for js in orbit_js):
+            orbit_js.append(_frob_orbit_js(j, q, l_res.q - 1))
+    assert {len(js) for js in orbit_js} == {m}, "Frobenius orbits must have length m"
     # inversion permutes the orbits (so for odd total degree a rep system
     # stable under mu -> mu^{-1} exists)
-    orbit_js = {frozenset(_frob_orbit_js(mu.j, q, l_res.q - 1)) for mu in orbits}
-    inv_js = {
-        frozenset((-j) % (l_res.q - 1) for j in o) for o in orbit_js
-    }
-    assert orbit_js == inv_js
+    orbit_sets = {frozenset(js) for js in orbit_js}
+    assert orbit_sets == {frozenset((-j) % (l_res.q - 1) for j in o) for o in orbit_sets}
+    failures = []
+    for js in orbit_js:
+        # orbit-independence of the root numbers
+        first = root_number(by_j[js[0]])
+        if not all(root_number(by_j[j]) == first for j in js[1:]):
+            failures.append({"orbit": js})
+    orbits = [by_j[min(js)] for js in orbit_js]
 
-    z_samples = [(0, 1), (1, q - 1)] if q > 2 else [(0, 1), (1, 4)]
     cases = 0
-    for j in range(max(q - 1, 1)):
-        for z_num, z_den in z_samples:
-            chi = tame_char(f_datum, j, z_num, z_den)
-            chi_e = norm_transport(e_over_f, chi)
-            chi_l_raw = norm_transport(l_over_f, chi)
-            chi_l = tame_char(l_datum, chi_l_raw.j, chi_l_raw.z_num, chi_l_raw.z_den)
-            lhs = root_number(chi_e)
-            rhs = root_number(chi)
-            for mu in orbits:
-                lhs = lhs * root_number(mu)
-                rhs = rhs * root_number(chi_l.mul(mu))
-            if lhs != rhs:
-                failures.append({"j": j, "z": (z_num, z_den)})
-            cases += 1
+    for chi in _swept_characters(f_datum):
+        chi_e = norm_transport(e_over_f, chi)
+        chi_l_raw = norm_transport(l_over_f, chi)
+        chi_l = tame_char(l_datum, chi_l_raw.j, chi_l_raw.z_num, chi_l_raw.z_den)
+        lhs = root_number(chi_e)
+        rhs = root_number(chi)
+        for mu in orbits:
+            lhs = lhs * root_number(mu)
+            rhs = rhs * root_number(chi_l.mul(mu))
+        if lhs != rhs:
+            failures.append({"j": chi.j, "z": (chi.z_num, chi.z_den)})
+        cases += 1
     return {
         "q": q, "ell": ell, "m": m, "cases": cases,
         "ok": not failures, "failures": failures,
@@ -955,10 +925,11 @@ def gauss_functional_check(p: int, f: int) -> bool:
 
 
 def functional_equation(chi: TameChar) -> bool:
-    """Delta(chi) Delta(chi^{-1}) = chi(-1) at the root-value level."""
+    """Delta(chi) Delta(chi^{-1}) = chi(-1) at the root-value level (a unit
+    evaluation, so only the residue part matters)."""
     lhs = root_number(chi) * root_number(chi.inverse())
-    rhs = root_value(chi.field.p, residue_minus_one_value(chi), 0)
-    return lhs == rhs
+    num, den = _minus_one_root(chi.field.residue, chi.j)
+    return lhs == root_value(chi.field.p, Cyclotomic.root_of_unity(den, num), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1072,11 +1043,7 @@ def galois_delta(
             raise UnsupportedModel(
                 "ell divides q - 1: the extension is abelian (use kummer)"
             )
-        m = 1
-        while pow(q, m, ell) != 1:
-            m += 1
-        if m == 1:
-            raise UnsupportedModel("degenerate: ell | q - 1")
+        m = _multiplicative_order(q, ell)
         name = "S3" if (ell, m) == (3, 2) else f"F{ell}_{m}"
         try:
             g = catalog_group(name)

@@ -136,6 +136,25 @@ def test_campaign_run_pass_fail_and_atomic(tmp_path):
     assert "RESULT fail" in result.output
 
 
+def test_input_errors_name_the_bad_token(tmp_path):
+    results = [(run("relations", "gens", "S3", "--n", "foo"), "'foo'")]
+    for text, token in (
+        ("check dh1 q=4\n", "ell"),
+        ("check dh3 q=two ell=3\n", "'two'"),
+        ("target S3 N\n", "'N'"),
+        ("target\n", "'target'"),
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        results.append((run("campaign", "run", str(path)), token))
+    for result, token in results:
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)  # no raw traceback
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error:"), result.output
+        assert token in lines[0]
+
+
 def test_campaign_empty_passes(tmp_path):
     camp = tmp_path / "empty.txt"
     camp.write_text("# nothing to do\n\n")

@@ -1,9 +1,11 @@
 """CLI reports pinned byte for byte.
 
-The files under golden/ are reports of `monomial verify thm27` and
-`monomial extend run`; the extend runs use value functions that extend
-(Delta = F o phi with F trivial on permutation characters), so the
-reports list F(chi_i) in the irreducible order.
+The files under golden/ are reports of `monomial verify thm27`,
+`monomial extend run` and `monomial tame` (the sweeps, and the Galois
+models, whose root numbers print as exact Cyc(...) coefficients).  The
+extend runs use value functions that extend (Delta = F o phi with F
+trivial on permutation characters), so the reports list F(chi_i) in the
+irreducible order.
 """
 
 import os
@@ -23,6 +25,17 @@ REPORTS = [
     ("extend_S3.txt", ["extend", "run", "S3", "s3.delta", "--n", "derived"]),
     ("extend_Q8.txt", ["extend", "run", "Q8", "q8.delta", "--n", "center"]),
     ("extend_C6.txt", ["extend", "run", "C6", "c6.delta", "--n", "trivial"]),
+    ("tame_galois_kummer_q7_ell3.txt",
+     ["tame", "galois-model", "--model", "kummer", "--q", "7", "--ell", "3"]),
+    ("tame_galois_bikummer_q7_ell3.txt",
+     ["tame", "galois-model", "--model", "bikummer", "--q", "7", "--ell", "3"]),
+    ("tame_galois_unramified_q2_deg3.txt",
+     ["tame", "galois-model", "--model", "unramified", "--q", "2", "--degree", "3"]),
+    ("tame_galois_s3_q2_ell3.txt",
+     ["tame", "galois-model", "--model", "s3", "--q", "2", "--ell", "3"]),
+    ("tame_dh1_q7_ell3_ramified.txt", ["tame", "dh1", "--q", "7", "--ell", "3", "--ramified"]),
+    ("tame_dh1_q4_ell3.txt", ["tame", "dh1", "--q", "4", "--ell", "3"]),
+    ("tame_dh3_q2_ell3.txt", ["tame", "dh3", "--q", "2", "--ell", "3"]),
 ]
 
 

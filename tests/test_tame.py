@@ -2,6 +2,8 @@ import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
+from math import lcm
 
 import pytest
 
@@ -10,6 +12,7 @@ from monomial.errors import (
     DegenerateCase,
     NotAbelianTameCase,
     NotTame,
+    PrimeMismatch,
     TooLarge,
     UnsupportedModel,
 )
@@ -38,6 +41,7 @@ from monomial.tame import (
     tame_char,
     tame_field,
     twist_exponent,
+    _delta_vec,
     _dh1_sides_dense,
 )
 
@@ -79,6 +83,103 @@ def test_trace_and_embedding():
             )
 
 
+def _sweep_fields():
+    """(p, f) of every residue field the acceptance sweeps build: the
+    Gauss-sum fields q <= 64, the unramified dh1 residue fields up to the
+    4096 cap, and the dh3 fields F_{q^m}, m = ord(q mod ell)."""
+    fields = {(p, f) for p in range(2, 64) if all(p % d for d in range(2, p))
+              for f in range(1, 7) if p**f <= 64}
+    for p, f in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                 (11, 1), (13, 1), (2, 4)):
+        fields |= {(p, f * ell) for ell in (2, 3, 5) if p ** (f * ell) <= 4096}
+    for p, f, ell in ((2, 1, 3), (3, 1, 5), (2, 1, 7), (5, 1, 3)):
+        fields.add((p, f * next(m for m in range(1, ell) if pow(p**f, m, ell) == 1)))
+    return sorted(fields)
+
+
+def test_trace_is_the_sum_of_conjugates():
+    # Tr(a) = a + a^p + ... + a^(p^(f-1)), summed digit by digit mod p
+    for p, f in _sweep_fields():
+        ff = finite_field(p, f)
+        for a in range(ff.q):
+            digits = [0] * f
+            conj = a
+            for _ in range(f):
+                rest = conj
+                for i in range(f):
+                    rest, d = divmod(rest, p)
+                    digits[i] = (digits[i] + d) % p
+                conj = ff.pow(conj, p) if conj else 0
+            assert digits[1:] == [0] * (f - 1), (p, f, a)
+            assert ff.trace(a) == digits[0], (p, f, a)
+
+
+@lru_cache(maxsize=None)
+def _dense_gauss_sum(p, f, j):
+    """The Gauss sum term by term in dense cyclotomic arithmetic."""
+    ff = finite_field(p, f)
+    q = ff.q
+    total = Cyclotomic.zero()
+    for k in range(q - 1):
+        e = (-j * k) % (q - 1) if q > 2 else 0
+        term = Cyclotomic.root_of_unity(q - 1, e) if q > 2 else Cyclotomic.from_rational(1)
+        total = total + term * Cyclotomic.root_of_unity(p, ff.trace(ff.exp[k]))
+    return total
+
+
+def _dense_root_number(chi):
+    """z^(a - lpsi) * chibar(e) * G(chibar) * q^(-1/2) factor by factor."""
+    field = chi.field
+    z_pow = Cyclotomic.root_of_unity(chi.z_den, chi.z_num * (chi.a - field.lpsi))
+    if chi.a == 0:
+        return root_value(field.p, z_pow, 0)
+    g = _dense_gauss_sum(field.p, field.residue.f, chi.j)
+    if field.e > 1:
+        g = g * chi.residue_value(field.e % field.p)
+    return root_value(field.p, z_pow * g, -field.residue.f)
+
+
+def _small_characters():
+    """Every residue part on the fields q <= 16, over E = F (e = 1) and
+    the tame ramified E with e = 2 or 3 (e != p), at levels 0 and 1, with
+    three uniformizer values."""
+    for p, f in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                 (11, 1), (13, 1), (2, 4)):
+        base = finite_field(p, f)
+        for e in (1, 2, 3):
+            for lpsi in (0, 1):
+                if e == p:
+                    continue
+                field = tame_field(base, e, 1, lpsi)
+                for j in range(max(base.q - 1, 1)):
+                    for z_num, z_den in ((0, 1), (1, max(base.q - 1, 4)), (1, 6)):
+                        yield tame_char(field, j, z_num, z_den)
+
+
+def _exact(v):
+    return v.p, v.k, v.c.m, v.c.coeffs
+
+
+def test_gauss_sum_and_root_number_match_dense_oracle():
+    chars = 0
+    for chi in _small_characters():
+        g = gauss_sum(chi.field.p, chi.field.residue.f, chi.j)
+        dense = _dense_gauss_sum(chi.field.p, chi.field.residue.f, chi.j)
+        assert (g.m, g.coeffs) == (dense.m, dense.coeffs)
+        assert _exact(root_number(chi)) == _exact(_dense_root_number(chi)), chi
+        chars += 1
+    assert chars > 1000
+
+
+def test_delta_vec_is_the_promoted_root_number():
+    for chi in _small_characters():
+        rn = root_number(chi)
+        M = 2 * lcm(rn.c.m, chi.field.p, chi.field.q - 1)
+        vec, k = _delta_vec(M, chi)
+        from_vec = root_value(chi.field.p, vec.to_cyclotomic(), k)
+        assert (from_vec.k, from_vec.c.coeffs) == (rn.k, rn.c.promote(M).coeffs), chi
+
+
 def test_gauss_sum_oracles():
     # trivial character: the full additive sum over nonzero elements
     assert gauss_sum(5, 1, 0) == Cyclotomic.from_rational(-1)
@@ -115,8 +216,10 @@ def test_root_value_algebra():
     a = root_value(7, Cyclotomic.root_of_unity(3, 1), 1)
     assert vg.eq(vg.mul(a, vg.inv(a)), vg.one())
     assert vg.pow(a, 2) == a * a
-    with pytest.raises(AssertionError):
+    with pytest.raises(PrimeMismatch):
         vg.eq(a, root_value_one(5))
+    with pytest.raises(PrimeMismatch):
+        vg.mul(a, root_value_one(5))
 
 
 def test_tame_char_and_root_number():
@@ -269,23 +372,58 @@ for args in (["dh1", "--q", "5", "--ell", "2", "--ramified"],
 """
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_tame_failures_are_verdicts(flags):
+def _run_python(flags, code):
+    """Stdout lines of `code` run in a fresh interpreter with `flags`."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    out = subprocess.run(
-        [sys.executable, *flags, "-c", _INJECT_FAILURES],
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
         capture_output=True, text=True, env=env, check=True,
     ).stdout.split("\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_tame_failures_are_verdicts(flags):
+    out = _run_python(flags, _INJECT_FAILURES)
     assert out[:4] == [
         "False {'j': 0, 'z': (0, 1)} True",
         "False True",
         "1 verdict=fail",
         "1 verdict=fail",
     ]
+
+
+# Mixed primes and int64 overflow are refused by type, not by an assert.
+_REFUSALS = """
+from monomial.errors import PrimeMismatch, TooLarge
+from monomial.tame import CycVec, root_value_one
+
+for attempt in (
+    lambda: root_value_one(2) == root_value_one(3),
+    lambda: root_value_one(2) * root_value_one(3),
+    lambda: CycVec(4, [2**40, 2**40, 0, 0]) * CycVec(4, [2**23, 2**23, 0, 0]),
+    lambda: CycVec(4, [2**40, -2**40, 0, 0]).scale(-2**22),
+):
+    try:
+        print(attempt())
+    except (PrimeMismatch, TooLarge) as exc:
+        print(type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_refusals_hold_under_optimisation(flags):
+    out = _run_python(flags, _REFUSALS)
+    assert out[:4] == ["PrimeMismatch", "PrimeMismatch", "TooLarge", "TooLarge"]
+
+
+def test_cycvec_products_below_the_bound_are_exact():
+    a = CycVec(4, [2**40, 2**40, 0, 0])
+    assert (a * CycVec(4, [2**20, 2**20, 0, 0])).arr.tolist() == [2**60, 2**61, 2**60, 0]
+    assert a.scale(-2**21).arr.tolist() == [-2**61, -2**61, 0, 0]
 
 
 def test_cycvec_zero_test():
