@@ -230,6 +230,18 @@ def _validate_table(table) -> None:
             raise NotAGroup(f"element {a} has no inverse")
 
 
+def direct_product(a: Group, b: Group) -> Group:
+    """A x B, the pair (x, y) labelled x * |B| + y; validated like any
+    table."""
+    n, ta, tb = b.order, a.table, b.table
+    table = [
+        [ta[i // n][j // n] * n + tb[i % n][j % n] for j in range(a.order * n)]
+        for i in range(a.order * n)
+    ]
+    name = f"{a.name}x{b.name}" if a.name and b.name else None
+    return make_group(table, name=name)
+
+
 def make_group(table, name: str | None = None, check: bool = True) -> Group:
     table = tuple(tuple(row) for row in table)
     if len(table) > MAX_ORDER:
@@ -326,20 +338,27 @@ def subgroups(g: Group) -> tuple[tuple[Subgroup, ...], ...]:
     """All subgroups, grouped into conjugacy classes.
 
     Classes are ordered by (order, representative element tuple); members
-    within a class are sorted by element tuple.  The enumeration adds one
-    generator at a time to known subgroups, which reaches every subgroup.
+    within a class are sorted by element tuple.  Every subgroup is reached
+    by adjoining one element at a time to a known subgroup H, closing only
+    H's generator tuple and the new element.  Since <H, x> = <H, xh> for h
+    in H, one x per left coset xH is tried.
     """
-    found = {trivial_subgroup(g).elements}
-    frontier = [trivial_subgroup(g)]
+    t = g.table
+    trivial = trivial_subgroup(g).elements
+    found = {trivial}
+    frontier = [(trivial, ())]
     while frontier:
-        h = frontier.pop()
+        elems, gens = frontier.pop()
+        covered = set(elems)
         for x in range(1, g.order):
-            if x in h.element_set:
+            if x in covered:
                 continue
-            bigger = closure(g, list(h.elements) + [x])
-            if bigger.elements not in found:
-                found.add(bigger.elements)
-                frontier.append(bigger)
+            row = t[x]
+            covered.update([row[h] for h in elems])
+            bigger = closure(g, gens + (x,)).elements
+            if bigger not in found:
+                found.add(bigger)
+                frontier.append((bigger, gens + (x,)))
     all_subs = {elems: Subgroup(g, elems) for elems in found}
     classes = []
     seen = set()

@@ -3,6 +3,11 @@
 All matrices are lists of lists of Python ints (arbitrary precision).  The
 pivoting rule is deterministic -- smallest nonzero absolute value, ties broken
 row-major -- so certificates are reproducible across runs.
+
+`Lattice` serves the kernel-lattice verdict.  `in_lattice`, `lattice_rank`,
+`lattice_equal` and `mat_mul` have no caller in the package: they are kept
+only as test oracles, `lattice_equal` deciding lattice equality by mutual
+membership, independently of the verdict's saturation argument.
 """
 
 from __future__ import annotations
@@ -208,6 +213,11 @@ class Lattice:
     @property
     def rank(self) -> int:
         return self.snf.rank if self.snf is not None else 0
+
+    @property
+    def is_saturated(self) -> bool:
+        """Z^n / span is torsion-free: every nonzero elementary divisor is 1."""
+        return self.snf is None or all(abs(d) <= 1 for d in self.snf.diagonal)
 
 
 def in_lattice(basis: list[list[int]], vector: list[int]) -> bool:

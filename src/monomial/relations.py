@@ -16,11 +16,11 @@ from . import intlin
 from .brauer import (
     RPlusElement,
     _ambient_table,
+    _phi_matrix,
     coordinates,
     glued_character,
     kernel_basis,
     pair_class,
-    pair_classes,
     phi_coordinates,
     rplus,
 )
@@ -420,33 +420,43 @@ class Theorem27Report:
 def verify_theorem_2_7(
     g: Group, n: Subgroup, kinds=("I", "II", "III")
 ) -> Theorem27Report:
-    """Compare Ker(phi) with the lattice spanned by the basic relations,
-    as subgroups of the free module on pair classes with H >= N."""
+    """Compare Ker(phi) with the lattice R spanned by the basic relations,
+    as subgroups of the free module Z^m on pair classes with H >= N.
+
+    The verdict takes one Smith normal form, of the relation matrix.  First
+    phi(r) = 0 is checked in integers for every relation r, so R lies in
+    Ker(phi).  Then R = Ker(phi) exactly when R has the kernel's rank and
+    every nonzero elementary divisor of R is 1: equal ranks make
+    Ker(phi)/R torsion, unit divisors make Z^m/R torsion-free, so
+    Ker(phi)/R, a subgroup of Z^m/R, is zero.  (Conversely Ker(phi) is
+    saturated, being the kernel of an integer map, so equality forces
+    unit divisors.)  Only when the lattices differ are the kernel basis
+    vectors outside R solved for, with the same normal form; they are
+    reported as missing.
+    """
+    full = full_subgroup(g)
+    _, phi = _phi_matrix(full, n)
     kernel = kernel_basis(g, n)
     relations = basic_relations(g, n, kinds)
-    kernel_vecs = [coordinates(x, n) for x in kernel]
     span_vecs = [coordinates(r.element, n) for r in relations]
-    kernel_span, relation_span = intlin.Lattice(kernel_vecs), intlin.Lattice(span_vecs)
-    # every relation maps to zero and the kernel basis is saturated, so the
-    # relations lie in the kernel lattice; checked all the same
     for rel, vec in zip(relations, span_vecs):
-        if vec not in kernel_span:
+        support = [(j, c) for j, c in enumerate(vec) if c]
+        if any(sum(row[j] * c for j, c in support) for row in phi):
             raise CertificateFailed(
                 "relation outside the kernel lattice", witness=rel.element
             )
-    missing_vecs = [vec for vec in kernel_vecs if vec not in relation_span]
-    full = full_subgroup(g)
-    classes = pair_classes(full, n)
-    missing = [
-        rplus(full, n, list(zip(classes, vec))) for vec in missing_vecs
+    relation_span = intlin.Lattice(span_vecs)
+    equal = relation_span.rank == len(kernel) and relation_span.is_saturated
+    missing = [] if equal else [
+        x for x in kernel if coordinates(x, n) not in relation_span
     ]
     return Theorem27Report(
         group=g,
         n=n,
         kinds=tuple(kinds),
         n_relations=len(relations),
-        kernel_rank=len(kernel_vecs),
+        kernel_rank=len(kernel),
         span_rank=relation_span.rank,
-        equal=not missing,
+        equal=equal,
         missing=missing,
     )

@@ -310,7 +310,8 @@ class RootValue:
         return lo.c == hi.c * sqrt_prime(self.p)
 
     def __hash__(self):
-        return hash((self.p, self.k))
+        # == equates c * p^(1/2) with (c * sqrt(p)) * p^0, so only p is stable
+        return hash(self.p)
 
     def __mul__(self, other):
         self._same_prime(other)

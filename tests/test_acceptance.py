@@ -36,6 +36,7 @@ from monomial.extend import (
 )
 from monomial.groups import (
     commutator_subgroup,
+    direct_product,
     full_subgroup,
     maximal_subgroups,
     normal_subgroups,
@@ -104,6 +105,28 @@ def test_kernel_lattice_identity_catalog_groups_above_27():
                 f"kernel rank {report.kernel_rank}, span rank {report.span_rank}"
             )
             assert report.kernel_rank == report.span_rank > 0 or n.order == g.order
+
+
+def test_kernel_lattice_identity_direct_products():
+    # the identity on direct products of catalog groups, orders 24 to 108,
+    # at N trivial, and on every normal subgroup of the two smallest
+    products = [
+        ("Q8", "C3"), ("S3", "S3"), ("D4", "C4"), ("D4", "S3"),
+        ("C2", "S4"), ("C3", "S4"), ("C2", "Heisenberg27"), ("C2", "F7_6"),
+        ("C4", "S4"), ("C4", "Heisenberg27"),
+    ]
+    for a, b in products:
+        g = direct_product(catalog_group(a), catalog_group(b))
+        every_n = g.name in ("Q8xC3", "S3xS3")
+        normals = normal_subgroups(g) if every_n else [trivial_subgroup(g)]
+        for n in normals:
+            report = verify_theorem_2_7(g, n)
+            assert report.equal, (
+                f"lattice mismatch for {g.name}, "
+                f"N=({' '.join(map(str, n.elements))}): "
+                f"kernel rank {report.kernel_rank}, span rank {report.span_rank}"
+            )
+            assert report.kernel_rank == report.span_rank
 
 
 def test_presentation_round_trip_and_dim0_certificates():

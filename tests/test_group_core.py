@@ -2,9 +2,12 @@
 
 Hashes computed once with structural equality, the conjugation and power
 tables, position-indexed characters, the integer brauer_map against an
-induction oracle, and the typed refusal of a group that is not an M-group.
+induction oracle, the coset-representative subgroup enumeration against
+the closure of every known subgroup with every element, direct products,
+and the typed refusal of a group that is not an M-group.
 """
 
+import os
 import random
 from itertools import product
 
@@ -26,8 +29,11 @@ from monomial.cyclotomic import Cyclotomic
 from monomial.errors import NotMonomial
 from monomial.groups import (
     Group,
+    Subgroup,
     all_subgroups,
+    closure,
     conjugate_subgroup,
+    direct_product,
     dump_group,
     full_subgroup,
     make_group,
@@ -35,6 +41,7 @@ from monomial.groups import (
     quotient,
     subgroup,
     subgroup_class_reps,
+    subgroups,
     trivial_subgroup,
 )
 
@@ -140,6 +147,60 @@ def _sl23():
         )
 
     return make_group([[index[mul(a, b)] for b in mats] for a in mats], name="SL2_3")
+
+
+def _subgroups_oracle(g):
+    # every known subgroup closed with every element outside it, all of
+    # its elements as generators; classes canonical as in subgroups()
+    found = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        h = frontier.pop()
+        for x in range(1, g.order):
+            if x not in h:
+                bigger = closure(g, list(h) + [x]).elements
+                if bigger not in found:
+                    found.add(bigger)
+                    frontier.append(bigger)
+    classes, seen = [], set()
+    for elems in sorted(found, key=lambda e: (len(e), e)):
+        if elems not in seen:
+            orbit = {
+                conjugate_subgroup(Subgroup(g, elems), x).elements
+                for x in range(g.order)
+            }
+            seen |= orbit
+            classes.append(tuple(Subgroup(g, e) for e in sorted(orbit)))
+    return tuple(classes)
+
+
+def _products():
+    return [
+        direct_product(catalog_group(a), catalog_group(b))
+        for a, b in (("D4", "C2"), ("Q8", "C3"), ("S3", "S3"))
+    ]
+
+
+def test_subgroups_match_closure_oracle():
+    for g in [catalog_group(nm) for nm in catalog_names()] + _products():
+        assert subgroups(g) == _subgroups_oracle(g), g
+
+
+def test_direct_product_table():
+    s3, c2 = catalog_group("S3"), catalog_group("C2")
+    g = direct_product(s3, c2)
+    assert (g.order, g.name) == (12, "S3xC2")
+    for (a, b), (x, y) in product(product(range(6), range(2)), repeat=2):
+        assert g.mul(2 * a + b, 2 * x + y) == 2 * s3.mul(a, x) + c2.mul(b, y)
+    assert direct_product(s3, Group(c2.table)).name is None
+    d6 = catalog_group("D6")  # S3 x C2 is D6
+    assert len(normal_subgroups(g)) == len(normal_subgroups(d6))
+    assert [len(c) for c in subgroups(g)] == [len(c) for c in subgroups(d6)]
+    # the golden group files were written by the same labelling
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    for prod in _products()[1:]:
+        with open(os.path.join(golden, f"{prod.name}.grp")) as handle:
+            assert dump_group(prod) == handle.read()
 
 
 def test_non_m_group_is_refused(tmp_path):

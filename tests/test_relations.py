@@ -14,15 +14,16 @@ from monomial.brauer import (
     one_rplus,
     kernel_basis,
 )
-from monomial.catalog import catalog_group
+from monomial.catalog import catalog_group, catalog_names
 from monomial.characters import characters_of, trivial_character
 from monomial.errors import CertificateFailed
 from monomial.groups import (
     full_subgroup,
+    normal_subgroups,
     subgroup,
     trivial_subgroup,
 )
-from monomial.intlin import in_lattice
+from monomial.intlin import in_lattice, lattice_equal, lattice_rank
 from monomial.relations import (
     basic_relations,
     gen_type_I,
@@ -240,7 +241,7 @@ _INJECT = """
 import sys
 from monomial import extend, relations
 from monomial.brauer import generator
-from monomial.catalog import catalog_group
+from monomial.catalog import catalog_group, catalog_names
 from monomial.characters import characters_of, trivial_character
 from monomial.errors import CertificateFailed
 from monomial.groups import full_subgroup, subgroup, trivial_subgroup
@@ -302,4 +303,89 @@ def test_certificate_checks_survive_optimize():
         "verdict refused True",
         "irreducibility refused True",
         "extension refused True",
+    ]
+
+
+@pytest.mark.parametrize(
+    "kinds", [("I",), ("I", "II"), ("I", "III"), ("I", "II", "III")], ids="+".join
+)
+def test_saturation_verdict_matches_mutual_membership(kinds):
+    # the one-SNF verdict against the mutual-membership oracle on every
+    # catalog (group, N); the partial families give unequal cases too
+    unequal = 0
+    for name in catalog_names():
+        g = catalog_group(name)
+        for n in normal_subgroups(g):
+            report = verify_theorem_2_7(g, n, kinds)
+            kernel_vecs = [coordinates(x, n) for x in kernel_basis(g, n)]
+            span_vecs = [
+                coordinates(r.element, n) for r in basic_relations(g, n, kinds)
+            ]
+            equal, missing = lattice_equal(kernel_vecs, span_vecs)
+            assert report.equal == equal, (name, n.elements)
+            assert report.span_rank == lattice_rank(span_vecs)
+            assert [coordinates(x, n) for x in report.missing] == missing
+            unequal += not equal
+    assert unequal > 0 or kinds == ("I", "II", "III")
+
+
+# A relation list that rank and elementary divisors alone would accept:
+# one relation that carries rank is dropped and a generator outside the
+# kernel takes its place.  Only the verdict's own phi(r) = 0 check can
+# refuse it, and it must do so under `python -O` as well.
+_SWAP = """
+import sys
+from monomial import intlin, relations
+from monomial.brauer import coordinates, generator, kernel_basis
+from monomial.catalog import catalog_group
+from monomial.characters import characters_of
+from monomial.errors import CertificateFailed
+from monomial.groups import full_subgroup, subgroup
+
+g = catalog_group("D4")
+n = subgroup(g, [0, 1, 2, 3])
+full = full_subgroup(g)
+real = relations.basic_relations(g, n)
+rank = len(kernel_basis(g, n))
+vecs = [coordinates(r.element, n) for r in real]
+drop = next(
+    i for i in range(len(real))
+    if intlin.lattice_rank(vecs[:i] + vecs[i + 1:]) < rank
+)
+rest = real[:drop] + real[drop + 1:]
+for chi in characters_of(full)[1:]:
+    bogus = generator(full, chi, full, n)
+    span = intlin.Lattice(
+        [coordinates(r.element, n) for r in rest] + [coordinates(bogus, n)]
+    )
+    if span.rank == rank and span.is_saturated:
+        break
+print("optimize", sys.flags.optimize)
+print("rank and divisors pass", span.rank == rank and span.is_saturated)
+swapped = rest + [relations.BasicRelation("I", g, full, (), bogus)]
+relations.basic_relations = lambda g, n, kinds: swapped
+try:
+    relations.verify_theorem_2_7(g, n)
+    print("verdict passed")
+except CertificateFailed as exc:
+    print("verdict refused", exc.witness == bogus)
+"""
+
+
+@pytest.mark.parametrize("optimize", [0, 1])
+def test_verdict_refuses_non_kernel_relation_of_full_rank(optimize):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    flags = ["-O"] if optimize else []
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", _SWAP],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.split("\n")
+    assert out[:3] == [
+        f"optimize {optimize}",
+        "rank and divisors pass True",
+        "verdict refused True",
     ]

@@ -222,6 +222,15 @@ def test_root_value_algebra():
         vg.mul(a, root_value_one(5))
 
 
+def test_equal_root_values_hash_alike():
+    # sqrt(5) * 5^0 and 1 * 5^(1/2) are equal, so they must hash alike
+    a = root_value(5, sqrt_prime(5), 0)
+    b = RootValue(5, Cyclotomic.from_rational(1), 1)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_tame_char_and_root_number():
     base = finite_field(5, 1)
     f_datum = tame_field(base, 1, 1)
