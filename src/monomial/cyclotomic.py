@@ -88,10 +88,11 @@ def _poly_rem(num: list, den: tuple[int, ...]) -> list:
     return _poly_trim(num)
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _poly_mul(a: list, b: list) -> list:
+    """Product of two coefficient lists in the coefficients' own type."""
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -132,6 +133,17 @@ class Cyclotomic:
         )
         self.coeffs = tuple(Fraction(c) if type(c) is int else c for c in reduced)
 
+    @staticmethod
+    def _from_numerators(m: int, num: list[int], den: int) -> "Cyclotomic":
+        """num / den reduced modulo Phi_m.  The remainder is linear, so
+        reducing the integer numerators and dividing once by den gives the
+        same Fractions as reducing in Fraction arithmetic."""
+        rem = _poly_rem(num, _cyclo_coeffs(m))
+        out = object.__new__(Cyclotomic)
+        out.m = m
+        out.coeffs = tuple(Fraction(c, den) for c in rem)
+        return out
+
     # -- constructors ----------------------------------------------------
 
     @staticmethod
@@ -146,7 +158,7 @@ class Cyclotomic:
     def root_of_unity(m: int, k: int = 1) -> "Cyclotomic":
         """zeta_m ** k."""
         k %= m
-        return Cyclotomic(m, [Fraction(0)] * k + [Fraction(1)])
+        return Cyclotomic(m, [0] * k + [1])
 
     # -- structure -------------------------------------------------------
 
@@ -156,12 +168,7 @@ class Cyclotomic:
             return self
         if m_new % self.m:
             raise ValueError(f"cannot embed modulus {self.m} into {m_new}")
-        scale = m_new // self.m
-        out = [Fraction(0)] * m_new
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out[(k * scale) % m_new] += c
-        return Cyclotomic(m_new, out)
+        return _substitute(self, m_new, m_new // self.m)
 
     def _common(self, other: "Cyclotomic"):
         m = lcm(self.m, other.m)
@@ -206,7 +213,9 @@ class Cyclotomic:
     def __mul__(self, other):
         other = _coerce(other, self.m)
         a, b = self._common(other)
-        return Cyclotomic(a.m, _poly_mul(list(a.coeffs), list(b.coeffs)))
+        na, da = _numerators(a.coeffs)
+        nb, db = _numerators(b.coeffs)
+        return Cyclotomic._from_numerators(a.m, _poly_mul(na, nb), da * db)
 
     __rmul__ = __mul__
 
@@ -259,11 +268,7 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation zeta -> zeta^{-1}."""
-        out = [Fraction(0)] * self.m
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out[(-k) % self.m] += c
-        return Cyclotomic(self.m, out)
+        return _substitute(self, self.m, -1)
 
     # -- comparison ------------------------------------------------------
 
@@ -306,6 +311,22 @@ class Cyclotomic:
         return "Cyc(" + " + ".join(terms) + ")"
 
 
+def _numerators(coeffs) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _substitute(x: Cyclotomic, m: int, t: int) -> Cyclotomic:
+    """x with zeta_{x.m}^k replaced by zeta_m^(k t): the embedding into
+    Q(zeta_m) for t = m / x.m, the Galois action zeta -> zeta^t for m = x.m."""
+    num, den = _numerators(x.coeffs)
+    out = [0] * m
+    for k, c in enumerate(num):
+        out[(k * t) % m] += c
+    return Cyclotomic._from_numerators(m, out, den)
+
+
 def _coerce(value, m: int) -> Cyclotomic:
     if isinstance(value, Cyclotomic):
         return value
@@ -333,11 +354,7 @@ def _shrink(m: int, coeffs: tuple[Fraction, ...]) -> Cyclotomic:
 
 def _galois_apply(x: Cyclotomic, t: int) -> Cyclotomic:
     """The automorphism zeta_m -> zeta_m^t (t coprime to m)."""
-    out = [Fraction(0)] * x.m
-    for k, c in enumerate(x.coeffs):
-        if c:
-            out[(k * t) % x.m] += c
-    return Cyclotomic(x.m, out)
+    return _substitute(x, x.m, t)
 
 
 def _fixed_by_subfield(x: Cyclotomic, d: int) -> bool:

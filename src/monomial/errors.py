@@ -110,3 +110,7 @@ class UnsupportedModel(MonomialError):
 
 class PrimeMismatch(MonomialError):
     """Root values c * p^(k/2) at different primes p were combined."""
+
+
+class ModulusMismatch(MonomialError):
+    """Cyclotomic vectors or exponent pairs at an incompatible modulus."""

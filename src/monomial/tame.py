@@ -24,6 +24,7 @@ from math import gcd, lcm
 from .cyclotomic import Cyclotomic, _cyclo_coeffs, _is_prime, _poly_rem, sqrt_prime
 from .errors import (
     DegenerateCase,
+    ModulusMismatch,
     NotAbelianTameCase,
     NotTame,
     PrimeMismatch,
@@ -257,6 +258,13 @@ def finite_field(p: int, f: int) -> FiniteField:
     return FiniteField(p, f)
 
 
+@lru_cache(maxsize=None)
+def _exp_traces(p: int, f: int) -> tuple[int, ...]:
+    """Tr(g^k) for k < q - 1, g the field's generator."""
+    ff = finite_field(p, f)
+    return tuple(ff.trace(x) for x in ff.exp)
+
+
 # ---------------------------------------------------------------------------
 # Gauss sums
 
@@ -264,15 +272,15 @@ def finite_field(p: int, f: int) -> FiniteField:
 @lru_cache(maxsize=None)
 def _gauss_support(p: int, f: int, j: int) -> tuple[tuple[int, int], ...]:
     """Support of the Gauss sum as (unit exponent mod q-1, trace mod p)."""
-    ff = finite_field(p, f)
-    q1 = ff.q - 1
-    return tuple(((-j * k) % q1, ff.trace(ff.exp[k])) for k in range(q1))
+    q1 = p**f - 1
+    return tuple(((-j * k) % q1, t) for k, t in enumerate(_exp_traces(p, f)))
 
 
 def _gauss_pairs(M: int, ff: FiniteField, j: int) -> list[tuple[int, int]]:
     """The Gauss sum as (exponent mod M, coefficient) pairs in Z[zeta_M];
     M is a multiple of q - 1 and p."""
-    assert M % (ff.q - 1) == 0 and M % ff.p == 0
+    if M % (ff.q - 1) or M % ff.p:
+        raise ModulusMismatch(f"Gauss sum of F_{ff.q} needs q - 1 and p to divide M = {M}")
     unit_scale, add_scale = M // (ff.q - 1), M // ff.p
     return [(u * unit_scale + t * add_scale, 1) for u, t in _gauss_support(ff.p, ff.f, j)]
 
@@ -471,7 +479,8 @@ def _root_number_pairs(M: int, chi: TameChar) -> tuple[list[tuple[int, int]], in
     half-power k of p; M is a multiple of z_den, and of q - 1 and p if
     a = 1."""
     field = chi.field
-    assert M % chi.z_den == 0
+    if M % chi.z_den:
+        raise ModulusMismatch(f"uniformizer root of order {chi.z_den} does not divide M = {M}")
     zexp = chi.z_num * (M // chi.z_den) * twist_exponent(chi)
     if chi.a == 0:
         return [(zexp % M, 1)], 0
@@ -518,16 +527,28 @@ def _root_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 #
 # The large-field identities multiply Gauss sums whose dense cyclotomic
 # form is too expensive.  CycVec keeps exact integer coordinates in
-# Z[x]/(x^M - 1); the zero test in Z[zeta_M] is rigorous: a nonzero
-# algebraic integer has a conjugate of absolute value >= 1, and the
-# conjugates of v(zeta_M) are the FFT values at the primitive indices,
-# so bounding all of them well below 1 (with a guaranteed numerical
-# error margin) certifies exact vanishing.  Borderline magnitudes fall
-# back to an exact integer remainder by the cyclotomic polynomial.
+# Z[x]/(x^M - 1).
+#
+# A product a * b is the outer product over the two supports: the term
+# a_i b_j lands at (i + j) mod M, and np.add.at accumulates the terms into
+# one int64 vector, at most _OUTER_BLOCK terms at a time so that two dense
+# factors do not build an M x M array.  It is exact because _bound_product
+# first checks, in Python integers, that max|a| * ||b||_1 < 2^62.  Each
+# term is then below 2^62, and for a fixed output index k every b_j meets
+# at most one a_i (i = k - j mod M), so every partial sum at k is at most
+# sum_j |b_j| * max|a| < 2^62 in absolute value: no step can wrap.
+#
+# The zero test in Z[zeta_M] is rigorous: a nonzero algebraic integer has
+# a conjugate of absolute value >= 1, and the conjugates of v(zeta_M) are
+# the FFT values at the primitive indices, so bounding all of them well
+# below 1 (with a guaranteed numerical error margin) certifies exact
+# vanishing.  Borderline magnitudes fall back to an exact integer
+# remainder by the cyclotomic polynomial.
 
 import numpy as _np
 
 _COEFF_LIMIT = 2**62
+_OUTER_BLOCK = 2**20
 
 
 @lru_cache(maxsize=None)
@@ -543,7 +564,8 @@ class CycVec:
     def __init__(self, M: int, arr):
         self.M = M
         self.arr = _np.asarray(arr, dtype=_np.int64)
-        assert self.arr.shape == (M,)
+        if self.arr.shape != (M,):
+            raise ModulusMismatch(f"CycVec of shape {self.arr.shape} at M = {M}")
 
     @staticmethod
     def from_pairs(M: int, pairs) -> "CycVec":
@@ -552,8 +574,12 @@ class CycVec:
             arr[e % M] += c
         return CycVec(M, arr)
 
+    def _same_modulus(self, other: "CycVec") -> None:
+        if self.M != other.M:
+            raise ModulusMismatch(f"CycVec moduli {self.M} and {other.M} differ")
+
     def __sub__(self, other: "CycVec") -> "CycVec":
-        assert self.M == other.M
+        self._same_modulus(other)
         return CycVec(self.M, self.arr - other.arr)
 
     def _bound_product(self, factor: int) -> None:
@@ -572,15 +598,22 @@ class CycVec:
         return CycVec(self.M, self.arr * c)
 
     def __mul__(self, other: "CycVec") -> "CycVec":
-        assert self.M == other.M
+        self._same_modulus(other)
+        ia, ib = _np.flatnonzero(self.arr), _np.flatnonzero(other.arr)
         a, b = self, other
-        if _np.count_nonzero(a.arr) < _np.count_nonzero(b.arr):
-            a, b = b, a
-        support = [(int(e), int(b.arr[e])) for e in _np.nonzero(b.arr)[0]]
-        a._bound_product(sum(abs(c) for _, c in support))
+        if len(ia) < len(ib):
+            a, b, ia, ib = b, a, ib, ia
+        ca, cb = a.arr[ia], b.arr[ib]
+        a._bound_product(sum(map(abs, cb.tolist())))
         out = _np.zeros(self.M, dtype=_np.int64)
-        for e, c in support:
-            out += _np.roll(a.arr, e) * c
+        step = _OUTER_BLOCK // max(len(ia), 1) + 1
+        for s in range(0, len(ib), step):
+            rows = slice(s, s + step)
+            _np.add.at(
+                out,
+                (ib[rows, None] + ia[None, :]) % self.M,
+                cb[rows, None] * ca[None, :],
+            )
         return CycVec(self.M, out)
 
     def is_zero(self) -> bool:

@@ -2,7 +2,7 @@ import cmath
 import random
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from monomial.cyclotomic import (
     Cyclotomic,
     _cyclo_coeffs,
     _galois_apply,
+    _poly_rem,
     sqrt_prime,
     sqrt_prime_power,
     trace_row,
@@ -68,6 +69,55 @@ def test_inverse(x):
     if not x.is_zero():
         assert (x * x.inverse()).is_one()
         assert (x / x).is_one()
+
+
+def _fraction_product(x, y):
+    """(modulus, coefficients) of x * y promoted, multiplied and reduced in
+    Fraction arithmetic throughout: the oracle for the integer kernels."""
+    m = lcm(x.m, y.m)
+    phi = _cyclo_coeffs(m)
+
+    def promoted(z):
+        out = [Fraction(0)] * m
+        for k, c in enumerate(z.coeffs):
+            out[(k * (m // z.m)) % m] += c
+        return _poly_rem(out, phi)
+
+    a, b = promoted(x), promoted(y)
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return m, tuple(_poly_rem(out, phi))
+
+
+def test_integer_product_matches_fraction_oracle():
+    rng = random.Random(41)
+    moduli = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 20]
+
+    def element():
+        m = rng.choice(moduli)
+        kind = rng.randrange(5)
+        if kind == 0:
+            return Cyclotomic.zero(m)
+        if kind == 1:
+            return Cyclotomic.from_rational(Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)), m)
+        dens = [1, 2, 3, 4, 6, 7, 12]
+        return Cyclotomic(m, [Fraction(rng.randrange(-5, 6), rng.choice(dens)) for _ in range(m)])
+
+    for _ in range(300):
+        x, y = element(), element()
+        oracle = _fraction_product(x, y)
+        for got in (x * y, y * x):
+            assert (got.m, got.coeffs) == oracle
+            assert all(type(c) is Fraction for c in got.coeffs)
+            assert hash(got) == hash(Cyclotomic(*oracle))
+        r = Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+        oracle = _fraction_product(x, Cyclotomic.from_rational(r))
+        for got in (x * r, r * x):
+            assert (got.m, got.coeffs) == oracle
+        if not x.is_zero():
+            assert (x * x.inverse()).is_one()
 
 
 def test_numeric_cross_check():

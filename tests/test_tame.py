@@ -5,6 +5,7 @@ import sys
 from functools import lru_cache
 from math import lcm
 
+import numpy as np
 import pytest
 
 from monomial.cyclotomic import Cyclotomic, sqrt_prime
@@ -429,10 +430,86 @@ def test_refusals_hold_under_optimisation(flags):
     assert out[:4] == ["PrimeMismatch", "PrimeMismatch", "TooLarge", "TooLarge"]
 
 
+# Vectors and exponent pairs at an incompatible modulus are refused by type.
+_MODULUS_REFUSALS = """
+from monomial.errors import ModulusMismatch
+from monomial.tame import (
+    CycVec, _gauss_pairs, _root_number_pairs, finite_field, tame_char, tame_field,
+)
+
+chi = tame_char(tame_field(finite_field(5, 1), 1, 1), 1, 1, 4)
+for attempt in (
+    lambda: CycVec(4, [1, 2, 3]),
+    lambda: CycVec(3, [1, 0, 0]) - CycVec(4, [1, 0, 0, 0]),
+    lambda: CycVec(3, [1, 0, 0]) * CycVec(4, [1, 0, 0, 0]),
+    lambda: _gauss_pairs(10, finite_field(5, 1), 1),
+    lambda: _root_number_pairs(30, chi),
+):
+    try:
+        print(attempt())
+    except ModulusMismatch as exc:
+        print(type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_modulus_refusals_hold_under_optimisation(flags):
+    out = _run_python(flags, _MODULUS_REFUSALS)
+    assert out[:5] == ["ModulusMismatch"] * 5
+
+
 def test_cycvec_products_below_the_bound_are_exact():
     a = CycVec(4, [2**40, 2**40, 0, 0])
     assert (a * CycVec(4, [2**20, 2**20, 0, 0])).arr.tolist() == [2**60, 2**61, 2**60, 0]
     assert a.scale(-2**21).arr.tolist() == [-2**61, -2**61, 0, 0]
+
+
+def _roll_product(a, b):
+    """The CycVec product as one np.roll per nonzero term of the sparser
+    factor: the oracle for the outer-product kernel."""
+    if np.count_nonzero(a.arr) < np.count_nonzero(b.arr):
+        a, b = b, a
+    out = np.zeros(a.M, dtype=np.int64)
+    for e in np.nonzero(b.arr)[0]:
+        out += np.roll(a.arr, int(e)) * int(b.arr[e])
+    return out.tolist()
+
+
+def _random_vec(rng, M, nonzeros, size):
+    # exponents drawn past M wrap in from_pairs as they do in the product
+    pairs = [(rng.randrange(3 * M), rng.randrange(-size, size + 1)) for _ in range(nonzeros)]
+    return CycVec.from_pairs(M, pairs)
+
+
+def test_cycvec_product_matches_roll_oracle():
+    rng = random.Random(29)
+    for M in (1, 2, 7, 126, 87780):
+        for _ in range(6):
+            x = _random_vec(rng, M, rng.randrange(0, 40), 2**20)
+            y = _random_vec(rng, M, rng.randrange(0, 40), 2**20)
+            full = CycVec(M, [rng.randrange(-2**20, 2**20 + 1) for _ in range(M)])
+            # at M = 87780 a full vector times a sparse one spans several
+            # outer-product blocks; full times full is left to small M
+            for a, b in [(x, y), (full, x)] + ([(full, full)] if M <= 126 else []):
+                expected = _roll_product(a, b)
+                assert (a * b).arr.tolist() == expected, M
+                assert (b * a).arr.tolist() == expected, M
+
+
+def test_cycvec_product_just_below_the_bound():
+    # max|a| * ||b||_1 = 2^62 - 2^40, and every output coefficient of the
+    # constant a times b's wrapping terms reaches it
+    for M in (1, 2, 7, 126, 87780):
+        a = CycVec(M, np.full(M, 2**40, dtype=np.int64))
+        cs = [2**21, 2**20, 2**20 - 1] if M >= 3 else [2**22 - 1]
+        b = CycVec.from_pairs(M, [(M - 1 + k, c) for k, c in enumerate(cs)])
+        exact = 2**62 - 2**40
+        expected = [exact] * M
+        assert (a * b).arr.tolist() == expected == _roll_product(a, b)
+        assert (b * a).arr.tolist() == expected
+        assert (a * b.scale(-1)).arr.tolist() == [-exact] * M
+        with pytest.raises(TooLarge):
+            a * CycVec.from_pairs(M, [(0, 2**22)])
 
 
 def test_cycvec_zero_test():
