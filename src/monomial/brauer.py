@@ -424,12 +424,20 @@ def _ambient_table(ambient: Subgroup):
     return character_table(ambient.as_group), ambient.position
 
 
+@lru_cache(maxsize=None)
+def _phi_column(ambient: Subgroup, chi: Character) -> tuple[int, ...]:
+    """Irreducible coordinates of Ind_H^ambient(chi), chi a character of
+    H: the phi column of the pair class [H, chi], exactly in integers."""
+    table, label = _ambient_table(ambient)
+    return tuple(table.induced_coordinates(chi, label))
+
+
 def phi_coordinates(x: RPlusElement) -> list[int]:
     """Irreducible coordinates of phi(x) over its ambient, in integers."""
-    table, label = _ambient_table(x.ambient)
+    table, _ = _ambient_table(x.ambient)
     total = [0] * len(table.characters)
     for cls, n in x.coefficients:
-        for i, c in enumerate(table.induced_coordinates(cls.char, label)):
+        for i, c in enumerate(_phi_column(x.ambient, cls.char)):
             total[i] += n * c
     return total
 
@@ -438,13 +446,13 @@ def phi_coordinates(x: RPlusElement) -> list[int]:
 def _phi_matrix(ambient: Subgroup, lower: Subgroup):
     """Columns: pair classes; rows: irreducible coordinates of phi.
 
-    Each column comes straight from class counts of the pair's subgroup
-    through the ambient's integer character table (on its abstract copy,
-    relabelled as in decompose_on), with no cyclotomic arithmetic.
+    Each column is the pair's `_phi_column`: class counts of the pair's
+    subgroup through the ambient's integer character table (on its
+    abstract copy, relabelled as in decompose_on), with no cyclotomic
+    arithmetic.
     """
     classes = pair_classes(ambient, lower)
-    table, label = _ambient_table(ambient)
-    cols = [table.induced_coordinates(cls.char, label) for cls in classes]
+    cols = [_phi_column(ambient, cls.char) for cls in classes]
     n_rows = len(cols[0]) if cols else 0
     matrix = [[cols[j][i] for j in range(len(cols))] for i in range(n_rows)]
     return classes, matrix

@@ -33,6 +33,10 @@ class NotASubgroup(MonomialError):
     """Subset is not a subgroup / not contained where required."""
 
 
+class DomainMismatch(MonomialError):
+    """Objects on different groups or subgroups were combined."""
+
+
 class NotMonomial(MonomialError):
     """The group is not an M-group: the irreducible characters cannot all
     be found among inductions of 1-dimensional characters of subgroups."""
@@ -42,7 +46,8 @@ class NotMonomial(MonomialError):
 
 
 class CNotAbelianNormal(MonomialError):
-    """Projector requested for a subgroup that is not abelian normal."""
+    """A subgroup that must be abelian (normal too, for a projector) is
+    not."""
 
 
 class NoSolution(MonomialError):

@@ -4,9 +4,12 @@ A Delta-function assigns a value in an abelian group to every pair class
 [H, chi] with H above a fixed normal subgroup N.  Three families of
 product identities are exactly the obstruction; each is read off the
 records of one relation family from `relations.configurations`, the
-single source that also builds the relations.  When they hold, the lambda
-recursion below produces a well-defined multiplicative extension to
-arbitrary virtual characters, certified on the kernel generators.
+single source that also builds the relations.  Those records, the glued
+orbit representatives of the lambda recursion and the phi columns of the
+kernel check are built once per key and shared with `relations`.  When
+the identities hold, the lambda recursion below produces a well-defined
+multiplicative extension to arbitrary virtual characters, certified on
+the kernel generators.
 """
 
 from __future__ import annotations
@@ -30,7 +33,12 @@ from .characters import (
     irreducible_characters,
     subgroup_classes,
 )
-from .errors import CertificateFailed, ConditionsViolated, MissingValue
+from .errors import (
+    CertificateFailed,
+    ConditionsViolated,
+    DomainMismatch,
+    MissingValue,
+)
 from .groups import (
     Group,
     Subgroup,
@@ -408,7 +416,8 @@ class Extension:
     def evaluate(self, h: Subgroup, rho: ClassFunction):
         """F(H, rho) via a presentation rho = sum n_i Ind_{U_i}^H(chi_i):
         the product of (Delta(U_i,chi_i) * lambda_{U_i}^H)^{n_i}."""
-        assert rho.domain == h
+        if rho.domain != h:
+            raise DomainMismatch(f"rho lives on {rho.domain}, not on {h}")
         vg = self.delta.group
         pres = presentation(rho, self.n, variant=self.variant)
         out = vg.one()
@@ -488,7 +497,10 @@ def irreducibles_mod_derived(h: Subgroup, n: Subgroup) -> list[ClassFunction]:
 
 def uniqueness_check(ext1: Extension, ext2: Extension) -> bool:
     """Agreement on every irreducible of H/[N,N] for every H >= N."""
-    assert ext1.n == ext2.n
+    if ext1.n != ext2.n:
+        raise DomainMismatch(
+            f"the extensions are relative to {ext1.n} and {ext2.n}"
+        )
     g = ext1.delta.ambient.parent
     vg = ext1.delta.group
     for h in subgroup_class_reps(g):

@@ -2,20 +2,22 @@
 
 `configurations(g, n, kind)` is the single source of the instances of each
 family: the relations here and the compatibility conditions in `extend`
-both loop over its records.  Each relation is an explicit element of
-Ker(phi) built inside a subgroup B and pushed up by induction.  The
-headline verifier compares the integer lattice they span with the full
-kernel computed by linear algebra.
+both loop over its records, which are built once per (G, N, kind) and
+shared.  Each relation is an explicit element of Ker(phi) built inside a
+subgroup B and pushed up by induction; its kernel check reads one cached
+phi column per pair class.  The headline verifier compares the integer
+lattice they span with the full kernel computed by linear algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import intlin
 from .brauer import (
     RPlusElement,
-    _ambient_table,
+    _phi_column,
     _phi_matrix,
     coordinates,
     glued_character,
@@ -82,11 +84,13 @@ def _check_kernel(elt: RPlusElement) -> None:
         raise CertificateFailed("relation not in the kernel", witness=elt)
 
 
-def _glued_reps(u: Subgroup, m: Subgroup, rep_choice: str):
+@lru_cache(maxsize=None)
+def _glued_reps(u: Subgroup, m: Subgroup, rep_choice: str) -> tuple:
     """(U_mu M, mu') for mu over the U-conjugation orbits on (M/(U & M))^*:
     mu is the least or greatest exponent vector of its orbit (by
     rep_choice), U_mu its stabilizer in U, and mu' glues the trivial
-    character of U_mu to mu."""
+    character of U_mu to mu.  Built once per key, for the type III
+    configurations and the lambda recursion alike."""
     chars = characters_trivial_on(m, intersection(u, m))
     char_set = set(chars)
     seen = set()
@@ -110,7 +114,7 @@ def _glued_reps(u: Subgroup, m: Subgroup, rep_choice: str):
                 glued_character(stab, trivial_character(stab), m, pick),
             )
         )
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +157,15 @@ class Configuration:
                     yield self.witness + (h1, h2), ((h1, e1, 1), (h2, e2, -1))
 
 
-def configurations(g: Group, n: Subgroup, kind: str):
+@lru_cache(maxsize=None)
+def configurations(g: Group, n: Subgroup, kind: str) -> tuple[Configuration, ...]:
     """Every configuration of family kind ("I", "II" or "III") whose
-    subgroups contain N, with B over the subgroup class representatives."""
+    subgroups contain N, with B over the subgroup class representatives;
+    enumerated once per (G, N, kind)."""
     family = {"I": _type_I, "II": _type_II, "III": _type_III}[kind]
-    for b in subgroup_class_reps(g):
-        yield from family(g, n, b)
+    return tuple(
+        cfg for b in subgroup_class_reps(g) for cfg in family(g, n, b)
+    )
 
 
 def _type_I(g: Group, n: Subgroup, b: Subgroup):
@@ -269,8 +276,7 @@ def type_iii_configurations(b: Subgroup):
 def _check_heisenberg_irreducible(b: Subgroup, ext: Character) -> None:
     """Ind_H^B(ext) is irreducible: its integer coordinates on B's
     character table have sum of squares 1."""
-    table, label = _ambient_table(b)
-    if sum(c * c for c in table.induced_coordinates(ext, label)) != 1:
+    if sum(c * c for c in _phi_column(b, ext)) != 1:
         raise CertificateFailed(
             "Heisenberg induction is not irreducible", witness=(b, ext)
         )

@@ -186,11 +186,26 @@ class FiniteField:
                 break
         assert gen is not None or q == 2
         self.generator = gen if gen is not None else 1
+        # exp digit-wise: cur * g is Horner over g's digits, each step one
+        # shift (times x) and one subtraction of top * the monic modulus
+        p, low = self.p, self.modulus[:-1]
+        gen_digits = self._decode(self.generator)
+        while gen_digits[-1] == 0:
+            gen_digits.pop()
+        weights = [p**i for i in range(self.f)]
+        cur = self._decode(1)
         self.exp = [1]
-        cur = 1
         for _ in range(q - 2):
-            cur = self._raw_mul(cur, self.generator)
-            self.exp.append(cur)
+            out = [0] * self.f
+            for d in reversed(gen_digits):
+                top = out[-1]
+                out = [0] + out[:-1]
+                if top:
+                    out = [(a - top * c) % p for a, c in zip(out, low)]
+                if d:
+                    out = [(a + d * b) % p for a, b in zip(out, cur)]
+            cur = out
+            self.exp.append(sum(a * w for a, w in zip(cur, weights)))
         self.log = {x: k for k, x in enumerate(self.exp)}
         assert len(self.log) == q - 1
 

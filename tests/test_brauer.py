@@ -3,6 +3,8 @@ import random
 import pytest
 
 from monomial.brauer import (
+    _ambient_table,
+    _phi_column,
     brauer_map,
     coordinates,
     dim0_presentation,
@@ -22,7 +24,7 @@ from monomial.brauer import (
     rplus,
     zero_rplus,
 )
-from monomial.catalog import catalog_group
+from monomial.catalog import catalog_group, catalog_names
 from monomial.characters import (
     characters_of,
     induce,
@@ -34,6 +36,7 @@ from monomial.groups import (
     full_subgroup,
     quotient,
     subgroup,
+    subgroup_class_reps,
     subgroups,
     trivial_subgroup,
 )
@@ -306,3 +309,17 @@ def test_glued_character():
     glued = glued_character(triv, trivial_character(triv), a3, omega)
     assert glued.domain == a3
     assert glued == omega
+
+
+def test_phi_column_is_the_induced_coordinates():
+    # the cached phi column of every pair class, over the whole group and
+    # over each subgroup class representative as ambient
+    for name in catalog_names():
+        g = catalog_group(name)
+        triv = trivial_subgroup(g)
+        for ambient in subgroup_class_reps(g):
+            table, label = _ambient_table(ambient)
+            for cls in pair_classes(ambient, triv):
+                assert _phi_column(ambient, cls.char) == tuple(
+                    table.induced_coordinates(cls.char, label)
+                ), (name, ambient, cls)

@@ -1,12 +1,14 @@
 """CLI reports pinned byte for byte.
 
 The files under golden/ are reports of `monomial verify thm27`,
-`monomial extend run` and `monomial tame` (the sweeps, and the Galois
-models, whose root numbers print as exact Cyc(...) coefficients).  The
-extend runs use value functions that extend (Delta = F o phi with F
-trivial on permutation characters), so the reports list F(chi_i) in the
-irreducible order.  Two thm27 reports read their group from a table file
+`monomial extend run`, `monomial campaign run` and `monomial tame` (the
+sweeps, and the Galois models, whose root numbers print as exact Cyc(...)
+coefficients).  The extend runs use value functions that extend
+(Delta = F o phi with F trivial on permutation characters), so the
+reports list F(chi_i) in the irreducible order.  Two thm27 reports read their group from a table file
 (S3xS3.grp, Q8xC3.grp: direct products in the `dump_group` format).
+The campaign report runs the extend, towers and type3 checks on five
+catalog groups at N trivial, center and derived.
 """
 
 import os
@@ -39,12 +41,16 @@ REPORTS = [
     ("tame_dh3_q2_ell3.txt", ["tame", "dh3", "--q", "2", "--ell", "3"]),
     ("thm27_S3xS3.txt", ["verify", "thm27", "S3xS3.grp"]),
     ("thm27_Q8xC3.txt", ["verify", "thm27", "Q8xC3.grp"]),
+    ("campaign_catalog.txt", ["campaign", "run", "campaign_catalog.camp"]),
 ]
 
 
 @pytest.mark.parametrize("report, args", REPORTS, ids=[r for r, _ in REPORTS])
 def test_report_is_byte_identical(report, args, monkeypatch):
-    args = [os.path.join(GOLDEN, a) if a.endswith(".delta") else a for a in args]
+    args = [
+        os.path.join(GOLDEN, a) if a.endswith((".delta", ".camp")) else a
+        for a in args
+    ]
     if any(a.endswith(".grp") for a in args):
         # a group file's report names the file as given: run beside it
         monkeypatch.chdir(GOLDEN)

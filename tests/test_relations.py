@@ -17,7 +17,9 @@ from monomial.brauer import (
 from monomial.catalog import catalog_group, catalog_names
 from monomial.characters import characters_of, trivial_character
 from monomial.errors import CertificateFailed
+from monomial.extend import _minimal_abelian_layers
 from monomial.groups import (
+    all_subgroups,
     full_subgroup,
     normal_subgroups,
     subgroup,
@@ -123,12 +125,16 @@ def test_type_III_configuration_a4():
         ]
 
 
-def test_second_complement_is_refused(monkeypatch):
+def test_second_complement_is_refused(monkeypatch, request):
     # listing every subgroup of B twice gives each H two complements: a
     # typed refusal with the configuration as witness, not an assert
     s3 = catalog_group("S3")
     real = relations._subgroups_of
     monkeypatch.setattr(relations, "_subgroups_of", lambda g, b: real(g, b) * 2)
+    # cached configurations would skip the patched enumeration, and the
+    # ones built with it must not outlive the test
+    relations.configurations.cache_clear()
+    request.addfinalizer(relations.configurations.cache_clear)
     with pytest.raises(CertificateFailed) as exc:
         gen_type_III(s3, trivial_subgroup(s3))
     b, h, candidates = exc.value.witness
@@ -389,3 +395,35 @@ def test_verdict_refuses_non_kernel_relation_of_full_rank(optimize):
         "rank and divisors pass True",
         "verdict refused True",
     ]
+
+
+def test_cached_records_equal_fresh_enumeration():
+    # the configurations and glued orbit representatives read from the
+    # caches against the uncached bodies, on every catalog (G, N, kind),
+    # with every glued key of type III and of the lambda recursion's layers
+    glued_keys = 0
+    for name in catalog_names():
+        g = catalog_group(name)
+        full = full_subgroup(g)
+        for n in normal_subgroups(g):
+            for kind in ("I", "II", "III"):
+                cached = relations.configurations(g, n, kind)
+                fresh = relations.configurations.__wrapped__(g, n, kind)
+                assert cached == fresh, (name, n.elements, kind)
+            keys = {
+                (cfg.witness[0], cfg.witness[2], "min")
+                for cfg in relations.configurations(g, n, "III")
+            }
+            for m in _minimal_abelian_layers(full, n):
+                keys |= {
+                    (u, m, rep)
+                    for u in all_subgroups(g)
+                    if u.contains_subgroup(n) and not u.contains_subgroup(m)
+                    for rep in ("min", "max")
+                }
+            for key in keys:
+                assert relations._glued_reps(*key) == (
+                    relations._glued_reps.__wrapped__(*key)
+                ), (name, key)
+            glued_keys += len(keys)
+    assert glued_keys > 100

@@ -115,6 +115,47 @@ def test_trace_is_the_sum_of_conjugates():
             assert ff.trace(a) == digits[0], (p, f, a)
 
 
+def _raw_mul(ff, a, b):
+    """a * b in ff by polynomial multiplication and reduction mod p."""
+    p, f, mod = ff.p, ff.f, list(ff.modulus)
+    da = [a // p**i % p for i in range(f)]
+    db = [b // p**i % p for i in range(f)]
+    prod = [0] * (2 * f - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(2 * f - 2, f - 1, -1):
+        c = prod[top]
+        for i, m in enumerate(mod):
+            prod[top - f + i] = (prod[top - f + i] - c * m) % p
+    return sum(d * p**i for i, d in enumerate(prod[:f]))
+
+
+def test_exp_table_matches_polynomial_products():
+    # the least primitive element and its powers, one polynomial product
+    # per entry, on every field the sweeps build
+    for p, f in _sweep_fields():
+        ff = finite_field(p, f)
+        q = ff.q
+
+        def power(a, e):
+            out = 1
+            for _ in range(e):
+                out = _raw_mul(ff, out, a)
+            return out
+
+        primes = [d for d in range(2, q) if (q - 1) % d == 0
+                  and all(d % r for r in range(2, d))]
+        gen = next((a for a in range(1, q)
+                    if all(power(a, (q - 1) // r) != 1 for r in primes)), 1)
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(_raw_mul(ff, exp[-1], gen))
+        assert ff.generator == gen, (p, f)
+        assert ff.exp == exp, (p, f)
+        assert ff.log == {x: k for k, x in enumerate(exp)}, (p, f)
+
+
 @lru_cache(maxsize=None)
 def _dense_gauss_sum(p, f, j):
     """The Gauss sum term by term in dense cyclotomic arithmetic."""

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+from itertools import product
+
 import pytest
 
-from monomial.catalog import catalog_group
+from monomial.catalog import catalog_group, catalog_names
 from monomial.errors import HNormal, NotMaximal, TooLarge
 from monomial.groups import (
     full_subgroup,
@@ -10,7 +15,12 @@ from monomial.groups import (
     subgroup,
     trivial_subgroup,
 )
-from monomial.type3 import complements_census, h1_trivial, is_type_III
+from monomial.type3 import (
+    _cocycle_counts,
+    complements_census,
+    h1_trivial,
+    is_type_III,
+)
 
 
 def test_s3_certificate():
@@ -114,3 +124,130 @@ def test_trivial_core_characterization():
                 assert not any(
                     h.contains_subgroup(n) for n in normals
                 )
+
+
+def _full_enumeration_counts(h, c, cap):
+    """The cocycle and coboundary counts by enumerating every function
+    H -> C that fixes the identity."""
+    g = h.parent
+    t, conj, inv = g.table, g.conj_table, g.inverses
+    others = [x for x in h.elements if x != 0]
+    if len(c.elements) ** len(others) > cap:
+        raise TooLarge("cocycle enumeration exceeds the cap")
+    pos = h.position
+    pairs = [
+        (i, conj[x], j, pos[t[x][y]])
+        for i, x in enumerate(h.elements)
+        for j, y in enumerate(h.elements)
+        if x and y
+    ]
+    n_cocycles = 0
+    for values in product(c.elements, repeat=len(others)):
+        f = (0,) + values
+        if all(f[k] == t[f[i]][cx[f[j]]] for i, cx, j, k in pairs):
+            n_cocycles += 1
+    coboundaries = {
+        tuple(t[a][inv[conj[x][a]]] for x in h.elements) for a in c.elements
+    }
+    return n_cocycles, len(coboundaries)
+
+
+def _certified_pairs():
+    for name in catalog_names():
+        g = catalog_group(name)
+        for h in maximal_subgroups(g):
+            try:
+                cert = is_type_III(g, h)
+            except (HNormal, NotMaximal):
+                continue
+            if not cert.degenerate:
+                yield name, cert.qh, cert.qc
+
+
+def test_cocycle_counts_match_full_enumeration():
+    # counting from generator values against every function H -> C, on
+    # every certified (H, C) of the catalog and on the D4 case with
+    # nontrivial H^1
+    cases = list(_certified_pairs())
+    d4 = catalog_group("D4")
+    cases.append(("D4", subgroup(d4, [0, 4]), subgroup(d4, [0, 2])))
+    assert len(cases) > 10
+    for name, h, c in cases:
+        expected = _full_enumeration_counts(h, c, cap=200_000)
+        assert _cocycle_counts(h, c, cap=200_000) == expected, (name, h, c)
+    # trivial action: Z^1 = Hom(C2, C2) has two elements, B^1 one
+    assert _cocycle_counts(*cases[-1][1:], cap=200_000) == (2, 1)
+
+
+def test_cocycle_cap_refuses_the_same_inputs():
+    d4 = catalog_group("D4")
+    h, c = subgroup(d4, [0, 2, 4, 6]), subgroup(d4, [0, 2])
+    for cap in (1, 7, 8):
+        refused = []
+        for count in (_cocycle_counts, _full_enumeration_counts):
+            try:
+                count(h, c, cap)
+                refused.append(False)
+            except TooLarge:
+                refused.append(True)
+        assert refused == [cap < 8] * 2, cap
+
+
+# Run with and without `python -O`: a bad structure and bad cocycle,
+# extension and uniqueness inputs are typed refusals, not asserts.
+_BAD_INPUTS = """
+import sys
+from monomial import type3
+from monomial.catalog import catalog_group
+from monomial.characters import irreducible_characters
+from monomial.errors import MonomialError
+from monomial.extend import FreeAbelianGroup, constant_delta, extend, uniqueness_check
+from monomial.groups import center, full_subgroup, subgroup, trivial_subgroup
+
+s3, c6, d4 = catalog_group("S3"), catalog_group("C6"), catalog_group("D4")
+
+def attempt(label, call):
+    try:
+        call()
+        print(label, "passed")
+    except MonomialError as exc:
+        print(label, type(exc).__name__, exc.witness if hasattr(exc, "witness") else "")
+
+print("optimize", sys.flags.optimize)
+attempt("two minimal normal", lambda: type3._check_structure(c6, trivial_subgroup(c6)))
+attempt("no complement", lambda: type3._check_structure(s3, trivial_subgroup(s3)))
+attempt("C not abelian", lambda: type3.h1_trivial(trivial_subgroup(s3), full_subgroup(s3)))
+attempt("two parents", lambda: type3.h1_trivial(trivial_subgroup(s3), trivial_subgroup(d4)))
+n = trivial_subgroup(s3)
+ext = extend(s3, n, constant_delta(s3, n, FreeAbelianGroup()))
+a3 = subgroup(s3, [0, 1, 2])
+attempt("rho domain", lambda: ext.evaluate(a3, irreducible_characters(s3)[0]))
+z = center(d4)
+other = extend(d4, z, constant_delta(d4, z, FreeAbelianGroup()))
+ext_d4 = extend(d4, trivial_subgroup(d4), constant_delta(d4, trivial_subgroup(d4), FreeAbelianGroup()))
+attempt("two N", lambda: uniqueness_check(ext_d4, other))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_bad_inputs_are_typed_refusals(flags):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", _BAD_INPUTS],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.split("\n")
+    assert out[:7] == [
+        f"optimize {len(flags)}",
+        "two minimal normal CertificateFailed "
+        "(Subgroup(0, 3), Subgroup(0, 2, 4))",
+        "no complement CertificateFailed "
+        "(Subgroup(0,), Subgroup(0, 1, 2))",
+        "C not abelian CNotAbelianNormal ",
+        "two parents DomainMismatch ",
+        "rho domain DomainMismatch ",
+        "two N DomainMismatch ",
+    ]
