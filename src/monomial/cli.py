@@ -13,7 +13,7 @@ import click
 from .brauer import pair_classes
 from .catalog import catalog_group, catalog_names
 from .characters import character
-from .errors import MonomialError
+from .errors import CertificateFailed, HNormal, MonomialError, NotMaximal
 from .extend import (
     FreeAbelianGroup,
     check_conditions,
@@ -253,13 +253,18 @@ def type3():
 @click.option("--out", default=None)
 def type3_scan(name, max_order, out):
     lines = []
+    ok = True
     for nm, g in _group_targets(name, max_order):
         for h in maximal_subgroups(g):
             helems = " ".join(str(x) for x in h.elements)
             try:
                 cert = is_type_III(g, h)
-            except MonomialError as exc:
+            except (HNormal, NotMaximal) as exc:
                 lines.append(f"{nm} H=({helems}) refused {type(exc).__name__}")
+                continue
+            except CertificateFailed as exc:
+                lines.append(f"{nm} H=({helems}) failed CertificateFailed: {exc}")
+                ok = False
                 continue
             if cert.degenerate:
                 lines.append(f"{nm} H=({helems}) degenerate ell={cert.ell}")
@@ -276,6 +281,8 @@ def type3_scan(name, max_order, out):
                 f"census_ok={census_ok} h1_trivial={h1}"
             )
     _emit("\n".join(lines) + "\n", out)
+    if not ok:
+        raise SystemExit(1)
 
 
 def _parse_delta_file(g, n, text: str):
@@ -462,8 +469,12 @@ def _campaign_check(check_name, params, targets, lines) -> bool:
                 helems = " ".join(str(x) for x in h.elements)
                 try:
                     cert = is_type_III(g, h)
-                except MonomialError as exc:
+                except (HNormal, NotMaximal) as exc:
                     lines.append(f"type3 {nm} H=({helems}) refused {type(exc).__name__}")
+                    continue
+                except CertificateFailed as exc:
+                    lines.append(f"type3 {nm} H=({helems}) failed CertificateFailed: {exc}")
+                    ok = False
                     continue
                 if cert.degenerate:
                     lines.append(f"type3 {nm} H=({helems}) degenerate")

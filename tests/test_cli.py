@@ -2,8 +2,10 @@ import os
 
 from click.testing import CliRunner
 
+from monomial import type3
 from monomial.catalog import catalog_group
 from monomial.cli import main
+from monomial.errors import CertificateFailed
 from monomial.groups import dump_group
 
 
@@ -56,6 +58,24 @@ def test_type3_scan_reports_census():
     assert result.exit_code == 0
     assert "census_ok=True h1_trivial=True" in result.output
     assert "refused HNormal" in result.output
+
+
+def test_failed_type3_certificate_turns_red(tmp_path, monkeypatch):
+    # a failed structure check is a failure, not a neutral refusal
+    def fail(q, qh):
+        raise CertificateFailed("C is not self-centralizing", witness=qh)
+
+    monkeypatch.setattr(type3, "_check_structure", fail)
+    camp = tmp_path / "c.txt"
+    camp.write_text("target S3 N=trivial\ncheck type3\n")
+    campaign, scan = run("campaign", "run", str(camp)), run("type3", "scan", "S3")
+    for result in (campaign, scan):
+        assert result.exit_code == 1
+        assert "refused HNormal" in result.output
+        # one line for each of the three non-normal C2s
+        failed = "failed CertificateFailed: C is not self-centralizing"
+        assert result.output.count(failed) == 3
+    assert campaign.output.endswith("RESULT fail\n")
 
 
 def test_extend_run_round_trip(tmp_path):

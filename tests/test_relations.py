@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import pytest
 
 from monomial import relations
@@ -293,16 +289,8 @@ except CertificateFailed as exc:
 """
 
 
-def test_certificate_checks_survive_optimize():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", _INJECT],
-        capture_output=True, text=True, env=env, check=True,
-    ).stdout.split("\n")
+def test_certificate_checks_survive_optimize(run_python):
+    out = run_python(["-O"], _INJECT)
     assert out[:5] == [
         "optimize 1",
         "check refused True",
@@ -379,17 +367,8 @@ except CertificateFailed as exc:
 
 
 @pytest.mark.parametrize("optimize", [0, 1])
-def test_verdict_refuses_non_kernel_relation_of_full_rank(optimize):
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    flags = ["-O"] if optimize else []
-    out = subprocess.run(
-        [sys.executable, *flags, "-c", _SWAP],
-        capture_output=True, text=True, env=env, check=True,
-    ).stdout.split("\n")
+def test_verdict_refuses_non_kernel_relation_of_full_rank(optimize, run_python):
+    out = run_python(["-O"] if optimize else [], _SWAP)
     assert out[:3] == [
         f"optimize {optimize}",
         "rank and divisors pass True",

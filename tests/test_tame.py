@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 from functools import lru_cache
 from math import lcm
 
@@ -423,22 +420,9 @@ for args in (["dh1", "--q", "5", "--ell", "2", "--ramified"],
 """
 
 
-def _run_python(flags, code):
-    """Stdout lines of `code` run in a fresh interpreter with `flags`."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    return subprocess.run(
-        [sys.executable, *flags, "-c", code],
-        capture_output=True, text=True, env=env, check=True,
-    ).stdout.split("\n")
-
-
 @pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_tame_failures_are_verdicts(flags):
-    out = _run_python(flags, _INJECT_FAILURES)
+def test_tame_failures_are_verdicts(flags, run_python):
+    out = run_python(flags, _INJECT_FAILURES)
     assert out[:4] == [
         "False {'j': 0, 'z': (0, 1)} True",
         "False True",
@@ -466,8 +450,8 @@ for attempt in (
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_refusals_hold_under_optimisation(flags):
-    out = _run_python(flags, _REFUSALS)
+def test_refusals_hold_under_optimisation(flags, run_python):
+    out = run_python(flags, _REFUSALS)
     assert out[:4] == ["PrimeMismatch", "PrimeMismatch", "TooLarge", "TooLarge"]
 
 
@@ -494,8 +478,8 @@ for attempt in (
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_modulus_refusals_hold_under_optimisation(flags):
-    out = _run_python(flags, _MODULUS_REFUSALS)
+def test_modulus_refusals_hold_under_optimisation(flags, run_python):
+    out = run_python(flags, _MODULUS_REFUSALS)
     assert out[:5] == ["ModulusMismatch"] * 5
 
 

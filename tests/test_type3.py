@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 from itertools import product
 
 import pytest
@@ -230,16 +227,8 @@ attempt("two N", lambda: uniqueness_check(ext_d4, other))
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
-def test_bad_inputs_are_typed_refusals(flags):
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    out = subprocess.run(
-        [sys.executable, *flags, "-c", _BAD_INPUTS],
-        capture_output=True, text=True, env=env, check=True,
-    ).stdout.split("\n")
+def test_bad_inputs_are_typed_refusals(flags, run_python):
+    out = run_python(flags, _BAD_INPUTS)
     assert out[:7] == [
         f"optimize {len(flags)}",
         "two minimal normal CertificateFailed "
