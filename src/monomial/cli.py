@@ -12,11 +12,18 @@ import click
 
 from .brauer import pair_classes
 from .catalog import catalog_group, catalog_names
-from .characters import character
-from .errors import CertificateFailed, HNormal, MonomialError, NotMaximal
+from .characters import (
+    canonical_modulus,
+    character,
+    characters_of,
+    irreducible_characters,
+)
+from .cyclotomic import factorize
+from .errors import CertificateFailed, HNormal, MonomialError, NotMaximal, ParseError
 from .extend import (
     FreeAbelianGroup,
     check_conditions,
+    constant_delta,
     delta_function,
     extend,
     uniqueness_check,
@@ -31,6 +38,7 @@ from .groups import (
     load_group,
     maximal_subgroups,
     normal_subgroups,
+    parse_int,
     subgroup as make_subgroup,
     subgroup_class_reps,
     trivial_subgroup,
@@ -81,10 +89,12 @@ def _parse_n(g, selector: str):
     try:
         elements = [int(tok) for tok in selector.replace(",", " ").split()]
     except ValueError:
+        elements = [-1]  # not an element: refused below
+    if not all(0 <= x < g.order for x in elements):
         raise click.ClickException(
             f"N selector {selector!r} is not trivial, full, center, derived "
-            "or a list of elements"
-        ) from None
+            f"or a list of elements 0..{g.order - 1}"
+        )
     n = closure(g, elements)
     if sorted(n.elements) != sorted(set(elements) | {0}):
         raise click.ClickException(
@@ -94,16 +104,12 @@ def _parse_n(g, selector: str):
 
 
 def _parse_prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            f = 0
-            while q % p == 0:
-                q //= p
-                f += 1
-            if q != 1:
-                raise click.ClickException("q must be a prime power")
-            return p, f
-    raise click.ClickException("q must be a prime power >= 2")
+    if q < 2:
+        raise click.ClickException("q must be a prime power >= 2")
+    (p, f), *rest = factorize(q)
+    if rest:
+        raise click.ClickException("q must be a prime power")
+    return p, f
 
 
 def _campaign_params(tokens: list[str], raw: str) -> dict[str, str]:
@@ -124,7 +130,7 @@ def _int_param(check_name: str, params: dict[str, str], key: str) -> int:
 
 def _group_targets(name: str | None, max_order: int | None):
     if name is not None:
-        return [(name, _resolve_group(name))]
+        return [(os.path.basename(name), _resolve_group(name))]
     names = catalog_names()
     out = []
     for nm in names:
@@ -138,7 +144,17 @@ def _group_targets(name: str | None, max_order: int | None):
 # command tree
 
 
-@click.group()
+class _RefusalGroup(click.Group):
+    """Ends every structured refusal in one `Error:` line, not a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MonomialError as exc:
+            raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+
+
+@click.group(cls=_RefusalGroup)
 def main():
     """Exact verification toolkit for induced-pair rings, their basic
     relations, and tame local constants."""
@@ -199,10 +215,7 @@ def relations_gens(name, n_sel, kinds, out):
     g = _resolve_group(name)
     n = _parse_n(g, n_sel)
     kind_list = tuple(k.strip() for k in kinds.split(",") if k.strip())
-    try:
-        rels = basic_relations(g, n, kind_list)
-    except MonomialError as exc:
-        raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+    rels = basic_relations(g, n, kind_list)
     lines = [f"# {len(rels)} relations, kinds {','.join(kind_list)}"]
     for rel in rels:
         lines.append(f"kind {rel.kind}")
@@ -226,10 +239,7 @@ def verify_thm27(name, max_order, kinds, out):
     ok = True
     for nm, g in _group_targets(name, max_order):
         for n in normal_subgroups(g):
-            try:
-                report = verify_theorem_2_7(g, n, kind_list)
-            except MonomialError as exc:
-                raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+            report = verify_theorem_2_7(g, n, kind_list)
             lines.append(
                 f"{nm} N=({' '.join(str(x) for x in n.elements)}) "
                 f"relations={report.n_relations} kernel_rank={report.kernel_rank} "
@@ -297,29 +307,28 @@ def _parse_delta_file(g, n, text: str):
             raise click.ClickException(
                 f"delta line needs 'elements | exponents | value': {raw!r}"
             )
-        elements = [int(t) for t in parts[0].split()]
+        where = f"delta line {raw!r}"
+        elements = [parse_int(t, where) for t in parts[0].split()]
+        bad = next((x for x in elements if not 0 <= x < g.order), None)
+        if bad is not None:
+            raise ParseError(f"element {bad} is outside 0..{g.order - 1} in {where}")
         h = make_subgroup(g, elements, check=True)
-        from .characters import canonical_modulus
-
-        modulus = canonical_modulus(h)
-        exps = [int(t) for t in parts[1].split()]
-        chi = character(h, modulus, exps)
-        value = _parse_value(vgroup, parts[2])
-        assignments[(h, chi)] = value
+        exps = [parse_int(t, where) for t in parts[1].split()]
+        chi = character(h, canonical_modulus(h), exps)
+        if chi not in characters_of(h):
+            raise ParseError(f"exponents {parts[1]!r} are not a character of H in {where}")
+        assignments[(h, chi)] = _parse_value(vgroup, parts[2], where)
     return delta_function(g, n, vgroup, assignments), vgroup
 
 
-def _parse_value(vgroup, token: str):
-    if token == "1":
-        return vgroup.one()
+def _parse_value(vgroup, token: str, where: str):
     value = vgroup.one()
+    if token == "1":
+        return value
     for factor in token.split("*"):
-        factor = factor.strip()
-        if "^" in factor:
-            sym, exp = factor.split("^")
-            value = vgroup.mul(value, vgroup.pow(vgroup.symbol(sym), int(exp)))
-        else:
-            value = vgroup.mul(value, vgroup.symbol(factor))
+        sym, hat, exp = factor.strip().partition("^")
+        power = parse_int(exp, where) if hat else 1
+        value = vgroup.mul(value, vgroup.pow(vgroup.symbol(sym), power))
     return value
 
 
@@ -330,7 +339,7 @@ def extend_cmd():
 
 @extend_cmd.command("run")
 @click.argument("group_file")
-@click.argument("delta_file")
+@click.argument("delta_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n", "n_sel", default="trivial")
 @click.option("--full-kernel", is_flag=True, default=False)
 @click.option("--out", default=None)
@@ -355,8 +364,6 @@ def extend_run(group_file, delta_file, n_sel, full_kernel, out):
     tower = verify_tower(delta, g, n)
     lines.append(f"tower-identities {'pass' if not tower else tower}")
     full = full_subgroup(g)
-    from .characters import irreducible_characters
-
     for i, rho in enumerate(irreducible_characters(g)):
         value = ext0.evaluate(full, rho)
         lines.append(f"F(chi_{i}, dim {rho.dimension()}) = {vgroup.describe(value)}")
@@ -377,10 +384,7 @@ def tame():
 @click.option("--out", default=None)
 def tame_dh1(q, ell, ramified, lpsi, out):
     p, f = _parse_prime_power(q)
-    try:
-        report = dh1_sweep(p, f, ell, ramified, lpsi)
-    except MonomialError as exc:
-        raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+    report = dh1_sweep(p, f, ell, ramified, lpsi)
     _emit(
         f"dh1 q={q} ell={ell} ramified={ramified} cases={report['cases']} "
         f"verdict={'pass' if report['ok'] else 'fail'}\n",
@@ -397,10 +401,7 @@ def tame_dh1(q, ell, ramified, lpsi, out):
 @click.option("--out", default=None)
 def tame_dh3(q, ell, lpsi, out):
     p, f = _parse_prime_power(q)
-    try:
-        report = check_DH_III_tame(p, f, ell, lpsi)
-    except MonomialError as exc:
-        raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+    report = check_DH_III_tame(p, f, ell, lpsi)
     _emit(
         f"dh3 q={q} ell={ell} m={report['m']} cases={report['cases']} "
         f"verdict={'pass' if report['ok'] else 'fail'}\n",
@@ -420,10 +421,7 @@ def tame_dh3(q, ell, lpsi, out):
 @click.option("--out", default=None)
 def tame_galois_model(model, q, ell, degree, lpsi, out):
     p, f = _parse_prime_power(q)
-    try:
-        delta = galois_delta(model, p=p, f=f, ell=ell, degree=degree, lpsi=lpsi)
-    except MonomialError as exc:
-        raise click.ClickException(f"{type(exc).__name__}: {exc}") from exc
+    delta = galois_delta(model, p=p, f=f, ell=ell, degree=degree, lpsi=lpsi)
     g = delta.ambient.parent
     n = trivial_subgroup(g)
     lines = [f"model {model} q={q} group {g.name} order {g.order}"]
@@ -492,8 +490,6 @@ def _campaign_check(check_name, params, targets, lines) -> bool:
                 lines.append(f"type3 {nm} H=({helems}) ok={good}")
                 ok = ok and good
     elif check_name in ("extend", "towers"):
-        from .extend import constant_delta
-
         for nm, g, n in targets:
             delta = constant_delta(g, n, FreeAbelianGroup())
             if check_name == "extend":
@@ -528,7 +524,7 @@ def _campaign_check(check_name, params, targets, lines) -> bool:
 
 
 @campaign.command("run")
-@click.argument("file")
+@click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", default=None)
 def campaign_run(file, out):
     with open(file) as handle:

@@ -17,17 +17,27 @@ def _is_prime(m: int) -> bool:
     return m > 1 and all(m % d for d in range(2, int(m**0.5) + 1))
 
 
-def _mobius(n: int) -> int:
-    sign = 1
+def factorize(n: int) -> list[tuple[int, int]]:
+    """The prime factorisation of n >= 1 as ascending (p, e) pairs, by
+    trial division."""
+    out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            sign = -sign
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
         p += 1
-    return -sign if n > 1 else sign
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _mobius(n: int) -> int:
+    exps = [e for _, e in factorize(n)]
+    return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
 
 
 @lru_cache(maxsize=None)

@@ -80,11 +80,15 @@ class ValueGroup:
         return a == b
 
     def pow(self, a, n: int):
+        """a^n for any integer n, by repeated squaring."""
         if n < 0:
-            return self.pow(self.inv(a), -n)
+            a, n = self.inv(a), -n
         out = self.one()
-        for _ in range(n):
-            out = self.mul(out, a)
+        while n:
+            if n & 1:
+                out = self.mul(out, a)
+            n >>= 1
+            a = self.mul(a, a) if n else a
         return out
 
     def describe(self, a) -> str:

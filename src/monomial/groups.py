@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from .cyclotomic import factorize
 from .errors import NotAGroup, NotASubgroup, NotNormal, NotSolvable, ParseError
 
 MAX_ORDER = 128
@@ -254,6 +255,14 @@ def make_group(table, name: str | None = None, check: bool = True) -> Group:
     return g
 
 
+def parse_int(token: str, where: str) -> int:
+    """int(token), refused with a ParseError naming the token."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"bad token {token!r} in {where}") from None
+
+
 def load_group(text: str) -> Group:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
@@ -268,11 +277,8 @@ def load_group(text: str) -> Group:
         raise ParseError(f"expected {n} table rows, found {len(lines) - 1}")
     table = []
     for i in range(1, n + 1):
-        try:
-            row = tuple(int(tok) for tok in lines[i].split())
-        except ValueError as exc:
-            raise ParseError(f"bad token in row {i}") from exc
-        table.append(row)
+        where = f"row {i}"
+        table.append(tuple(parse_int(tok, where) for tok in lines[i].split()))
     name = None
     if len(lines) > n + 1:
         tail = lines[n + 1]
@@ -495,38 +501,16 @@ def maximal_subgroups(g: Group) -> list[Subgroup]:
     ]
 
 
-def sylow_primes(n: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def fitting_subgroup(g: Group) -> Subgroup:
     """Join of the p-cores O_p(G): the largest nilpotent normal subgroup."""
     result = trivial_subgroup(g)
-    for p, _ in sylow_primes(g.order):
+    for p, _ in factorize(g.order):
         p_core = trivial_subgroup(g)
         for n in normal_subgroups(g):
-            if _is_p_power(n.order, p):
+            if all(r == p for r, _ in factorize(n.order)):
                 p_core = product_set(p_core, n)
         result = product_set(result, p_core)
     return result
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def is_nilpotent(g: Group) -> bool:

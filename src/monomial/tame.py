@@ -21,7 +21,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclotomic import Cyclotomic, _cyclo_coeffs, _is_prime, _poly_rem, sqrt_prime
+from .cyclotomic import (
+    Cyclotomic,
+    _cyclo_coeffs,
+    _is_prime,
+    _poly_rem,
+    factorize,
+    sqrt_prime,
+)
 from .errors import (
     DegenerateCase,
     ModulusMismatch,
@@ -31,6 +38,7 @@ from .errors import (
     TooLarge,
     UnsupportedModel,
 )
+from .extend import ValueGroup, delta_function
 
 
 # ---------------------------------------------------------------------------
@@ -38,18 +46,11 @@ from .errors import (
 #
 # Elements of F_{p^f} are encoded as integers: the polynomial
 # sum c_i x^i (0 <= c_i < p) is the integer sum c_i p^i.  The modulus is
-# the least (in this integer encoding) monic irreducible of degree f and
-# the generator is the least element of full multiplicative order, so
-# discrete logarithms are reproducible.
-
-
-def _poly_mul_p(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
+# the least (in this integer encoding) monic irreducible of degree f, found
+# by trial division, and the generator is the least element of full
+# multiplicative order, so discrete logarithms are reproducible.  Every
+# product of field elements, for the exp table and for vetting generator
+# candidates alike, is the one digit-wise Horner step _mul_digits.
 
 
 def _poly_rem_p(a, m, p):
@@ -65,61 +66,15 @@ def _poly_rem_p(a, m, p):
     return a
 
 
-def _poly_gcd_p(a, b, p):
-    a, b = [c % p for c in a], [c % p for c in b]
-    while any(b):
-        a, b = b, _poly_rem_p(a, b, p)
-        while b and b[-1] == 0:
-            b.pop()
-    return a
-
-
 def _is_irreducible(m, p):
-    """Degree-f monic m is irreducible iff x^(p^f) = x mod m and
-    gcd(x^(p^(f/l)) - x, m) is constant for every prime l | f."""
-    f = len(m) - 1
-    if f == 1:
-        return True
-
-    def xq_power(k):
-        # x^(p^k) mod m by iterated Frobenius
-        cur = [0, 1]
-        for _ in range(k):
-            cur = _poly_pow_mod(cur, p, m, p)
-        return cur
-
-    if _pad(xq_power(f), 2) != _pad([0, 1], 2):
-        return False
-    for ell in {d for d in range(2, f + 1) if f % d == 0 and _is_prime(d)}:
-        g = _poly_gcd_p(_poly_sub(xq_power(f // ell), [0, 1], p), m, p)
-        if len(_pad(g, 1)) > 1:
-            return False
+    """A monic m of degree f is irreducible iff no monic polynomial of
+    degree 1 to f // 2 divides it."""
+    for d in range(1, (len(m) - 1) // 2 + 1):
+        for enc in range(p**d):
+            divisor = [enc // p**i % p for i in range(d)] + [1]
+            if not any(_poly_rem_p(m, divisor, p)):
+                return False
     return True
-
-
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    return [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-
-
-def _pad(a, n):
-    a = list(a)
-    while len(a) < n:
-        a.append(0)
-    while len(a) > n and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_pow_mod(base, e, m, p):
-    out = [1]
-    b = _poly_rem_p(base, m, p)
-    while e:
-        if e & 1:
-            out = _poly_rem_p(_poly_mul_p(out, b, p), m, p)
-        b = _poly_rem_p(_poly_mul_p(b, b, p), m, p)
-        e >>= 1
-    return out
 
 
 class FiniteField:
@@ -162,7 +117,7 @@ class FiniteField:
 
     def _encode(self, coeffs) -> int:
         enc = 0
-        for c in reversed(_pad(list(coeffs), self.f)):
+        for c in reversed(coeffs):
             enc = enc * self.p + (c % self.p)
         return enc
 
@@ -170,42 +125,38 @@ class FiniteField:
         ca, cb = self._decode(a), self._decode(b)
         return self._encode([(x + y) % self.p for x, y in zip(ca, cb)])
 
+    def _mul_digits(self, a, b):
+        """a * b on digit lists: Horner over b's digits, each step one shift
+        (times x) and one subtraction of top * the monic modulus."""
+        p, low = self.p, self.modulus[:-1]
+        out = [0] * self.f
+        for d in reversed(b):
+            top = out[-1]
+            out = [0] + out[:-1]
+            if top:
+                out = [(x - top * c) % p for x, c in zip(out, low)]
+            if d:
+                out = [(x + d * y) % p for x, y in zip(out, a)]
+        return out
+
     def _raw_mul(self, a: int, b: int) -> int:
-        prod = _poly_mul_p(self._decode(a), self._decode(b), self.p)
-        return self._encode(_poly_rem_p(prod, list(self.modulus), self.p))
+        return self._encode(self._mul_digits(self._decode(a), self._decode(b)))
 
     def _build_tables(self):
         q = self.q
-        factors = {d for d in range(2, q) if (q - 1) % d == 0 and _is_prime(d)}
-        gen = None
-        for cand in range(1, q):
-            if all(
-                self._pow_raw(cand, (q - 1) // ell) != 1 for ell in factors
-            ):
-                gen = cand
-                break
-        assert gen is not None or q == 2
-        self.generator = gen if gen is not None else 1
-        # exp digit-wise: cur * g is Horner over g's digits, each step one
-        # shift (times x) and one subtraction of top * the monic modulus
-        p, low = self.p, self.modulus[:-1]
+        factors = [ell for ell, _ in factorize(q - 1)]
+        self.generator = next(
+            cand for cand in range(1, q)
+            if all(self._pow_raw(cand, (q - 1) // ell) != 1 for ell in factors)
+        )
         gen_digits = self._decode(self.generator)
         while gen_digits[-1] == 0:
             gen_digits.pop()
-        weights = [p**i for i in range(self.f)]
         cur = self._decode(1)
         self.exp = [1]
         for _ in range(q - 2):
-            out = [0] * self.f
-            for d in reversed(gen_digits):
-                top = out[-1]
-                out = [0] + out[:-1]
-                if top:
-                    out = [(a - top * c) % p for a, c in zip(out, low)]
-                if d:
-                    out = [(a + d * b) % p for a, b in zip(out, cur)]
-            cur = out
-            self.exp.append(sum(a * w for a, w in zip(cur, weights)))
+            cur = self._mul_digits(cur, gen_digits)
+            self.exp.append(self._encode(cur))
         self.log = {x: k for k, x in enumerate(self.exp)}
         assert len(self.log) == q - 1
 
@@ -358,7 +309,7 @@ def root_value_one(p: int) -> RootValue:
     return RootValue(p=p, c=Cyclotomic.from_rational(1), k=0)
 
 
-class RootValueGroup:
+class RootValueGroup(ValueGroup):
     """ValueGroup over exact root values for a fixed prime p."""
 
     def __init__(self, p: int):
@@ -372,16 +323,6 @@ class RootValueGroup:
 
     def inv(self, a):
         return a.inverse()
-
-    def eq(self, a, b):
-        return a == b
-
-    def pow(self, a, n: int):
-        out = self.one()
-        step = a if n >= 0 else a.inverse()
-        for _ in range(abs(n)):
-            out = out * step
-        return out
 
     def describe(self, a):
         return repr(a)
@@ -1046,7 +987,6 @@ def galois_delta(
     (Z/ell)^2), "s3" (nonabelian: inertia of order ell with
     ell not dividing q-1)."""
     from .catalog import catalog_group
-    from .extend import delta_function
     from .groups import (
         full_subgroup,
         make_group,

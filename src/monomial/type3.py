@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .cyclotomic import _is_prime
+from .cyclotomic import _is_prime, factorize
 from .errors import (
     CertificateFailed,
     CNotAbelianNormal,
@@ -110,7 +110,7 @@ def _check_structure(q: Group, qh: Subgroup) -> tuple[Subgroup, int]:
             "minimal normal subgroup is not unique", witness=tuple(minimal)
         )
     qc = minimal[0]
-    ell = next(d for d in range(2, qc.order + 1) if qc.order % d == 0)
+    ell = factorize(qc.order)[0][0]
     cg = qc.as_group
     if not cg.is_abelian() or any(
         cg.element_order(x) not in (1, ell) for x in range(cg.order)

@@ -1,12 +1,16 @@
 import os
 
+import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from monomial import type3
+from monomial.brauer import pair_classes
 from monomial.catalog import catalog_group
 from monomial.cli import main
 from monomial.errors import CertificateFailed
-from monomial.groups import dump_group
+from monomial.groups import dump_group, full_subgroup, trivial_subgroup
 
 
 def run(*args):
@@ -181,3 +185,132 @@ def test_campaign_empty_passes(tmp_path):
     result = run("campaign", "run", str(camp))
     assert result.exit_code == 0
     assert result.output == "RESULT pass\n"
+
+
+NOT_A_GROUP = "2\n0 1\n1 1\n"
+
+
+def _delta(group, text):
+    return ["extend", "run", group, "d.delta"], {"d.delta": text}
+
+
+MALFORMED = {
+    # the command and the files written beside the run
+    "group-info-not-a-group": (["group", "info", "bad.grp"], {"bad.grp": NOT_A_GROUP}),
+    "relations-not-a-group": (["relations", "gens", "bad.grp"], {"bad.grp": NOT_A_GROUP}),
+    "thm27-not-a-group": (["verify", "thm27", "bad.grp"], {"bad.grp": NOT_A_GROUP}),
+    "type3-not-a-group": (["type3", "scan", "bad.grp"], {"bad.grp": NOT_A_GROUP}),
+    "group-bad-token": (["group", "info", "bad.grp"], {"bad.grp": "2\n0 x\n1 0\n"}),
+    "delta-non-subgroup": _delta("C4", "0 1 | 0 0 | 1\n"),
+    "delta-bad-element": _delta("C2", "0 x | 0 | a\n"),
+    "delta-element-range": _delta("C2", "0 7 | 0 0 | 1\n"),
+    "delta-bad-exponent": _delta("C2", "0 1 | 0 y | a\n"),
+    "delta-not-a-character": _delta("C2", "0 1 | 0 1 1 | a\n"),
+    "delta-bad-value-exponent": _delta("C2", "0 1 | 0 1 | a^b\n"),
+    "campaign-missing-file": (["campaign", "run", "missing.camp"], {}),
+    "campaign-malformed-target": (
+        ["campaign", "run", "c.camp"],
+        {"c.camp": "target bad.grp\ncheck thm2.7\n", "bad.grp": NOT_A_GROUP},
+    ),
+}
+# what the Error: line names, where it is not NotAGroup
+NAMED = {
+    "group-bad-token": "'x'", "delta-non-subgroup": "NotASubgroup",
+    "delta-bad-element": "'x'", "delta-element-range": "element 7",
+    "delta-bad-exponent": "'y'", "delta-not-a-character": "'0 1 1'",
+    "delta-bad-value-exponent": "'b'", "campaign-missing-file": "'missing.camp'",
+}
+
+
+def _one_error_line(result):
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1, result.output
+    return errors[0]
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_ends_in_one_error_line(case, tmp_path, monkeypatch):
+    args, files = MALFORMED[case]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert NAMED.get(case, "NotAGroup") in _one_error_line(run(*args))
+
+
+def _mutated(text, edits):
+    """text with each (line, token, replacement) edit applied."""
+    lines = [line.split() for line in text.splitlines()]
+    for i, j, new in edits:
+        if lines:
+            row = lines[i % len(lines)]
+            if row:
+                row[j % len(row)] = new
+            else:
+                row.append(new)
+    return "".join(" ".join(row) + "\n" for row in lines)
+
+
+_TOKENS = st.sampled_from(["0", "1", "2", "3", "5", "-1", "x", "1.5", "^", "*", "|", "a^b"])
+_EDITS = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), _TOKENS), max_size=3)
+_GROUP = st.sampled_from(["C2", "C3", "S3"])
+_VALUE = st.sampled_from(["1", "a", "a^2", "a^-1", "a*b", "b^3*a"])
+_INTS = st.lists(st.integers(-1, 6), max_size=4).map(lambda xs: " ".join(map(str, xs)))
+_DELTA_LINE = st.builds("{} | {} | {}".format, _INTS, _INTS, _VALUE)
+
+
+def _full_delta(group, values):
+    """One delta line per pair class of the group; the i-th takes values[i],
+    or 1 past the end of values."""
+    g = catalog_group(group)
+    lines = []
+    for i, c in enumerate(pair_classes(full_subgroup(g), trivial_subgroup(g))):
+        elements = " ".join(map(str, c.subgroup.elements))
+        exponents = " ".join(map(str, c.char.exponents))
+        lines.append(f"{elements} | {exponents} | {values[i] if i < len(values) else 1}\n")
+    return "".join(lines)
+
+
+_CAMPAIGN_LINE = st.one_of(
+    st.builds("target {} N={}".format, st.sampled_from(["C2", "C3", "S3", "X9", "g.grp"]),
+              st.sampled_from(["trivial", "center", "derived", "full", "0", "0,1", "9", "x"])),
+    st.builds("check {} {}".format,
+              st.sampled_from(["thm2.7", "type3", "extend", "towers", "dh1", "dh3", "nope"]),
+              st.sampled_from(["", "q=2 ell=3", "q=4 ell=3", "q=12 ell=2", "q=x ell=3",
+                               "kinds=I"])),
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    group=_GROUP,
+    group_edits=_EDITS,
+    values=st.lists(_VALUE, max_size=6),
+    delta=st.lists(_DELTA_LINE, max_size=2),
+    delta_edits=_EDITS,
+    campaign=st.lists(_CAMPAIGN_LINE, max_size=3),
+    campaign_edits=_EDITS,
+)
+def test_parsers_refuse_or_report(tmp_path, monkeypatch, group, group_edits, values,
+                                  delta, delta_edits, campaign, campaign_edits):
+    # mutated group, delta and campaign files end in a report or in one
+    # Error: line, never in a traceback
+    monkeypatch.chdir(tmp_path)
+    files = {
+        "g.grp": _mutated(dump_group(catalog_group(group)), group_edits),
+        "d.delta": _mutated(_full_delta(group, values) + "\n".join(delta), delta_edits),
+        "c.camp": _mutated("\n".join(campaign), campaign_edits),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for args in (["group", "info", "g.grp"], ["extend", "run", group, "d.delta"],
+                 ["campaign", "run", "c.camp"]):
+        result = run(*args)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            args, files, result.exception)
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 or (not errors and result.output), (args, files, result.output)

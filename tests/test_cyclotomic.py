@@ -4,15 +4,19 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import click
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monomial.cli import _parse_prime_power
 from monomial.cyclotomic import (
     Cyclotomic,
     _cyclo_coeffs,
     _galois_apply,
+    _mobius,
     _poly_rem,
+    factorize,
     sqrt_prime,
     sqrt_prime_power,
     trace_row,
@@ -203,3 +207,67 @@ def test_shrink_matches_all_automorphisms():
             shrunk = x.shrink()
             assert shrunk.m == least_field(x)
             assert shrunk == x
+
+
+def _old_mobius(n):
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def _old_sylow_primes(n):
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            out.append((p, e))
+        p += 1
+    return out + [(n, 1)] if n > 1 else out
+
+
+def _old_is_p_power(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def _old_parse_prime_power(q):
+    for p in range(2, q + 1):
+        if q % p == 0:
+            f = 0
+            while q % p == 0:
+                q, f = q // p, f + 1
+            if q != 1:
+                raise click.ClickException("q must be a prime power")
+            return p, f
+    raise click.ClickException("q must be a prime power >= 2")
+
+
+def _outcome(parse, q):
+    try:
+        return parse(q)
+    except click.ClickException as exc:
+        return exc.message
+
+
+def test_factorize_agrees_with_the_trial_division_loops_it_replaced():
+    # the old Moebius function, Sylow prime list, p-power test (now the
+    # prime set test in fitting_subgroup) and prime-power parse, n <= 5000
+    small_primes = [p for p in range(2, 50) if all(p % d for d in range(2, p))]
+    for n in range(-2, 5001):
+        assert _outcome(_parse_prime_power, n) == _outcome(_old_parse_prime_power, n), n
+        if n < 1:
+            continue
+        pairs = factorize(n)
+        assert pairs == _old_sylow_primes(n), n
+        assert _mobius(n) == _old_mobius(n), n
+        for p in small_primes:
+            assert all(r == p for r, _ in pairs) == _old_is_p_power(n, p), (n, p)

@@ -46,15 +46,24 @@ REPORTS = [
 
 
 @pytest.mark.parametrize("report, args", REPORTS, ids=[r for r, _ in REPORTS])
-def test_report_is_byte_identical(report, args, monkeypatch):
+def test_report_is_byte_identical(report, args):
     args = [
-        os.path.join(GOLDEN, a) if a.endswith((".delta", ".camp")) else a
+        os.path.join(GOLDEN, a) if a.endswith((".delta", ".camp", ".grp")) else a
         for a in args
     ]
-    if any(a.endswith(".grp") for a in args):
-        # a group file's report names the file as given: run beside it
-        monkeypatch.chdir(GOLDEN)
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0
     with open(os.path.join(GOLDEN, report), "rb") as handle:
         assert result.stdout_bytes == handle.read()
+
+
+
+@pytest.mark.parametrize("args", [["verify", "thm27"], ["type3", "scan"]])
+def test_group_file_label_is_the_file_name(args, monkeypatch):
+    # the bare name, ./name and the absolute path give one report, whose
+    # lines are labelled with the file name
+    monkeypatch.chdir(GOLDEN)
+    paths = ("S3xS3.grp", "./S3xS3.grp", os.path.join(GOLDEN, "S3xS3.grp"))
+    reports = {CliRunner().invoke(main, args + [path]).stdout_bytes for path in paths}
+    assert len(reports) == 1
+    assert reports.pop().startswith(b"S3xS3.grp ")

@@ -14,7 +14,13 @@ from monomial.errors import (
     TooLarge,
     UnsupportedModel,
 )
-from monomial.extend import check_conditions, extend, uniqueness_check, verify_tower
+from monomial.extend import (
+    FreeAbelianGroup,
+    check_conditions,
+    extend,
+    uniqueness_check,
+    verify_tower,
+)
 from monomial.groups import full_subgroup, trivial_subgroup
 from monomial.tame import (
     CycVec,
@@ -41,6 +47,7 @@ from monomial.tame import (
     twist_exponent,
     _delta_vec,
     _dh1_sides_dense,
+    _is_irreducible,
 )
 
 
@@ -128,12 +135,83 @@ def _raw_mul(ff, a, b):
     return sum(d * p**i for i, d in enumerate(prod[:f]))
 
 
+def _rabin_irreducible(m, p):
+    """Rabin's test, as the fields used it before trial division: a monic m
+    of degree f is irreducible iff x^(p^f) = x mod m and
+    gcd(x^(p^(f/l)) - x, m) is constant for every prime l | f."""
+    def trim(a):
+        while a and a[-1] == 0:
+            a = a[:-1]
+        return a
+
+    def rem(a, b):
+        a = trim([c % p for c in a])
+        while len(a) >= len(b):
+            c, shift = a[-1] * pow(b[-1], -1, p) % p, len(a) - len(b)
+            a = trim([(x - c * b[i - shift]) % p if i >= shift else x
+                      for i, x in enumerate(a)])
+        return a
+
+    def mul_mod(a, b):
+        out = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return rem(out, m)
+
+    def x_to_p_to(k):
+        cur = [0, 1]
+        for _ in range(k):
+            out, base, e = [1], cur, p
+            while e:
+                out = mul_mod(out, base) if e & 1 else out
+                base, e = mul_mod(base, base), e >> 1
+            cur = out
+        return cur
+
+    f = len(m) - 1
+    if x_to_p_to(f) != rem([0, 1], m):
+        return False
+    for ell in (d for d in range(2, f + 1)
+                if f % d == 0 and all(d % r for r in range(2, d))):
+        diff = x_to_p_to(f // ell) + [0, 0]
+        diff[1] -= 1
+        a, b = m, rem(diff, m)
+        while b:
+            a, b = b, rem(a, b)
+        if len(a) > 1:
+            return False
+    return True
+
+
+def _monic(enc, p, f):
+    return [enc // p**i % p for i in range(f)] + [1]
+
+
+def test_trial_division_agrees_with_rabin():
+    # every monic polynomial with p^f <= 1024, 729, 625, 343 and 121
+    checked = 0
+    for p, top in ((2, 1024), (3, 729), (5, 625), (7, 343), (11, 121)):
+        f = 1
+        while p**f <= top:
+            for enc in range(p**f):
+                m = _monic(enc, p, f)
+                assert _is_irreducible(m, p) == _rabin_irreducible(m, p), (p, m)
+                checked += 1
+            f += 1
+    assert checked == 4449
+
+
 def test_exp_table_matches_polynomial_products():
-    # the least primitive element and its powers, one polynomial product
-    # per entry, on every field the sweeps build
+    # the least irreducible modulus, the least primitive element and its
+    # powers, one polynomial product per entry, on every field the sweeps
+    # build
     for p, f in _sweep_fields():
         ff = finite_field(p, f)
         q = ff.q
+        least = next(m for m in (_monic(enc, p, f) for enc in range(q))
+                     if _rabin_irreducible(m, p))
+        assert ff.modulus == tuple(least), (p, f)
 
         def power(a, e):
             out = 1
@@ -259,6 +337,19 @@ def test_root_value_algebra():
         vg.eq(a, root_value_one(5))
     with pytest.raises(PrimeMismatch):
         vg.mul(a, root_value_one(5))
+
+
+def test_value_group_pow_is_repeated_mul():
+    free = FreeAbelianGroup()
+    word = free.mul(free.symbol("a"), free.inv(free.mul(free.symbol("b"), free.symbol("b"))))
+    root = root_value(7, Cyclotomic.root_of_unity(3, 1), 1)
+    cases = [(free, word), (RootValueGroup(7), root)]
+    for vg, a in cases:
+        for n in range(-6, 7):
+            step, out = a if n >= 0 else vg.inv(a), vg.one()
+            for _ in range(abs(n)):
+                out = vg.mul(out, step)
+            assert vg.pow(a, n) == out, (a, n)
 
 
 def test_equal_root_values_hash_alike():
