@@ -3,15 +3,15 @@ norm transport, the lifting identities, and Galois-group Delta models.
 
 Everything is exact, and each quantity has one construction.  The trace
 F_q -> F_p is a linear form: an element's digits against Tr(x^i), the power
-sums of the modulus's roots.  A Gauss sum is read off its support, the
-pairs (unit exponent, trace) over F_q^*, and a root number is that support
-shifted by the uniformizer and chibar(e) twists.  Both representations are
-built from these exponent pairs: the dense Cyclotomic values (gauss_sum,
-root_number) and the integer vectors modulo x^M - 1 (CycVec) that the
-large-field identities multiply.  The CycVec zero test is rigorous: a
-nonzero algebraic integer has a conjugate of absolute value >= 1, so
-checking every embedding numerically below 1/2 with a guaranteed error
-bound decides exact vanishing.
+sums of the modulus's roots.  A Gauss sum is one int64 array of exponents
+mod M, one term per unit g^k read off the per-field arrays (k, Tr(g^k)),
+and a root number is that array shifted by the uniformizer and chibar(e)
+twists.  Both representations are counted from these arrays: the integer
+vectors modulo x^M - 1 (CycVec) that the large-field identities multiply,
+and the dense Cyclotomic values (gauss_sum, root_number) converted from
+them.  The CycVec zero test is rigorous: a nonzero algebraic integer has a
+conjugate of absolute value >= 1, so checking every embedding numerically
+below 1/2 with a guaranteed error bound decides exact vanishing.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+
+import numpy as _np
 
 from .cyclotomic import (
     Cyclotomic,
@@ -31,6 +33,7 @@ from .cyclotomic import (
 )
 from .errors import (
     DegenerateCase,
+    DomainMismatch,
     ModulusMismatch,
     NotAbelianTameCase,
     NotTame,
@@ -225,30 +228,32 @@ def finite_field(p: int, f: int) -> FiniteField:
 
 
 @lru_cache(maxsize=None)
-def _exp_traces(p: int, f: int) -> tuple[int, ...]:
-    """Tr(g^k) for k < q - 1, g the field's generator."""
+def _exp_traces(p: int, f: int) -> tuple[_np.ndarray, _np.ndarray]:
+    """The read-only int64 arrays k and Tr(g^k) for k < q - 1, g the
+    field's generator."""
     ff = finite_field(p, f)
-    return tuple(ff.trace(x) for x in ff.exp)
+    k = _np.arange(ff.q - 1, dtype=_np.int64)
+    tr = _np.array([ff.trace(x) for x in ff.exp], dtype=_np.int64)
+    k.flags.writeable = tr.flags.writeable = False
+    return k, tr
 
 
 # ---------------------------------------------------------------------------
 # Gauss sums
 
 
-@lru_cache(maxsize=None)
-def _gauss_support(p: int, f: int, j: int) -> tuple[tuple[int, int], ...]:
-    """Support of the Gauss sum as (unit exponent mod q-1, trace mod p)."""
-    q1 = p**f - 1
-    return tuple(((-j * k) % q1, t) for k, t in enumerate(_exp_traces(p, f)))
-
-
-def _gauss_pairs(M: int, ff: FiniteField, j: int) -> list[tuple[int, int]]:
-    """The Gauss sum as (exponent mod M, coefficient) pairs in Z[zeta_M];
-    M is a multiple of q - 1 and p."""
-    if M % (ff.q - 1) or M % ff.p:
+def _gauss_indices(M: int, ff: FiniteField, j: int, shift: int = 0) -> _np.ndarray:
+    """zeta_M^shift * G(chibar_j) in Z[zeta_M] as one int64 array of
+    exponents mod M, each term with coefficient 1: the unit g^k contributes
+    (-j k mod (q - 1)) M/(q - 1) + Tr(g^k) M/p + shift.  M is a multiple of
+    q - 1 and p; j and shift are reduced in Python integers, so every
+    int64 step stays below 3M."""
+    q1 = ff.q - 1
+    if M % q1 or M % ff.p:
         raise ModulusMismatch(f"Gauss sum of F_{ff.q} needs q - 1 and p to divide M = {M}")
-    unit_scale, add_scale = M // (ff.q - 1), M // ff.p
-    return [(u * unit_scale + t * add_scale, 1) for u, t in _gauss_support(ff.p, ff.f, j)]
+    k, tr = _exp_traces(ff.p, ff.f)
+    units = (-j % q1) * k % q1
+    return (units * (M // q1) + tr * (M // ff.p) + shift % M) % M
 
 
 @lru_cache(maxsize=None)
@@ -257,7 +262,7 @@ def gauss_sum(p: int, f: int, j: int) -> Cyclotomic:
     the j-th power of the canonical character (generator to zeta_{q-1})
     and psibar(x) = zeta_p^{Tr(x)}, in Q(zeta_lcm(q-1, p))."""
     M = lcm(p**f - 1, p)
-    return CycVec.from_pairs(M, _gauss_pairs(M, finite_field(p, f), j)).to_cyclotomic()
+    return _gauss_vec(M, finite_field(p, f), j).to_cyclotomic()
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +328,6 @@ class RootValueGroup(ValueGroup):
 
     def inv(self, a):
         return a.inverse()
-
-    def describe(self, a):
-        return repr(a)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +396,8 @@ class TameChar:
         return Cyclotomic.root_of_unity(ff.q - 1, self.j * ff.log[x])
 
     def mul(self, other: "TameChar") -> "TameChar":
-        assert self.field == other.field
+        if self.field != other.field:
+            raise DomainMismatch(f"characters of {self.field} and {other.field}")
         num, den = _root_mul((self.z_num, self.z_den), (other.z_num, other.z_den))
         return tame_char(self.field, self.j + other.j, num, den)
 
@@ -429,22 +432,22 @@ def twist_exponent(chi: TameChar) -> int:
     return chi.a - chi.field.lpsi
 
 
-def _root_number_pairs(M: int, chi: TameChar) -> tuple[list[tuple[int, int]], int]:
+def _root_number_indices(M: int, chi: TameChar) -> tuple[_np.ndarray, int]:
     """Delta(chi) = z^(a - lpsi) * (chibar(e) * G(chibar) * p^(-f/2) if
-    a = 1) as (exponent mod M, coefficient) pairs in Z[zeta_M] and the
-    half-power k of p; M is a multiple of z_den, and of q - 1 and p if
-    a = 1."""
+    a = 1) as the int64 exponents mod M of its terms in Z[zeta_M], each
+    with coefficient 1, and the half-power k of p; M is a multiple of
+    z_den, and of q - 1 and p if a = 1."""
     field = chi.field
     if M % chi.z_den:
         raise ModulusMismatch(f"uniformizer root of order {chi.z_den} does not divide M = {M}")
     zexp = chi.z_num * (M // chi.z_den) * twist_exponent(chi)
     if chi.a == 0:
-        return [(zexp % M, 1)], 0
+        return _np.array([zexp % M], dtype=_np.int64), 0
     ff = field.residue
     # the additive character of a ramified E reduces to psibar(e * x),
     # so the Gauss sum picks up chibar(e) (a trivial twist when e = 1)
     zexp += chi.j * ff.log[field.e % field.p] * (M // (ff.q - 1))
-    return [((zexp + x) % M, c) for x, c in _gauss_pairs(M, ff, chi.j)], -ff.f
+    return _gauss_indices(M, ff, chi.j, zexp), -ff.f
 
 
 def root_number(chi: TameChar) -> RootValue:
@@ -452,8 +455,8 @@ def root_number(chi: TameChar) -> RootValue:
     lcm(z_den, q - 1, p) otherwise."""
     field = chi.field
     M = chi.z_den if chi.a == 0 else lcm(chi.z_den, field.q - 1, field.p)
-    pairs, k = _root_number_pairs(M, chi)
-    return root_value(field.p, CycVec.from_pairs(M, pairs).to_cyclotomic(), k)
+    vec, k = _delta_vec(M, chi)
+    return root_value(field.p, vec.to_cyclotomic(), k)
 
 
 def conductor_inductivity(e, f, d, a_k, dim, lpsi) -> dict:
@@ -483,7 +486,8 @@ def _root_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 #
 # The large-field identities multiply Gauss sums whose dense cyclotomic
 # form is too expensive.  CycVec keeps exact integer coordinates in
-# Z[x]/(x^M - 1).
+# Z[x]/(x^M - 1).  A Gauss sum or root number is a sum of roots of unity,
+# so its vector is one np.bincount of its int64 exponent array.
 #
 # A product a * b is the outer product over the two supports: the term
 # a_i b_j lands at (i + j) mod M, and np.add.at accumulates the terms into
@@ -496,20 +500,25 @@ def _root_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 #
 # The zero test in Z[zeta_M] is rigorous: a nonzero algebraic integer has
 # a conjugate of absolute value >= 1, and the conjugates of v(zeta_M) are
-# the FFT values at the primitive indices, so bounding all of them well
+# the DFT values at the primitive indices t, so bounding all of them well
 # below 1 (with a guaranteed numerical error margin) certifies exact
-# vanishing.  Borderline magnitudes fall back to an exact integer
-# remainder by the cyclotomic polynomial.
-
-import numpy as _np
+# vanishing.  The vector is real, so v(zeta^-t) is the complex conjugate
+# of v(zeta^t), and t is primitive iff M - t is: one real FFT (np.fft.rfft)
+# read at the primitive t <= M/2 sees every conjugate's absolute value.
+# Borderline magnitudes fall back to an exact integer remainder by the
+# cyclotomic polynomial.
 
 _COEFF_LIMIT = 2**62
 _OUTER_BLOCK = 2**20
 
 
 @lru_cache(maxsize=None)
-def _primitive_indices(M: int) -> tuple[int, ...]:
-    return tuple(t for t in range(M) if gcd(t, M) == 1)
+def _primitive_indices(M: int) -> _np.ndarray:
+    """The t <= M/2 prime to M, as a read-only array."""
+    t = _np.arange(M // 2 + 1)
+    out = t[_np.gcd(t, M) == 1]
+    out.flags.writeable = False
+    return out
 
 
 class CycVec:
@@ -578,7 +587,7 @@ class CycVec:
             return True
         fft_err = 1e-12 * total * (self.M.bit_length() + 4)
         if fft_err < 0.05:
-            vals = _np.abs(_np.fft.fft(self.arr)[list(_primitive_indices(self.M))])
+            vals = _np.abs(_np.fft.rfft(self.arr)[_primitive_indices(self.M)])
             top = float(vals.max())
             if top < 0.25:
                 return True
@@ -590,7 +599,7 @@ class CycVec:
         return not _poly_rem([int(c) for c in self.arr], _cyclo_coeffs(self.M))
 
     def to_cyclotomic(self) -> Cyclotomic:
-        return Cyclotomic(self.M, [int(c) for c in self.arr])
+        return Cyclotomic(self.M, self.arr.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -607,19 +616,20 @@ def _sqrt_pairs(p: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 def _sqrt_vec(M: int, p: int) -> CycVec:
     sm, pairs = _sqrt_pairs(p)
-    assert M % sm == 0
+    if M % sm:
+        raise ModulusMismatch(f"sqrt({p}) lies in Q(zeta_{sm}), and {sm} does not divide M = {M}")
     scale = M // sm
     return CycVec.from_pairs(M, [(e * scale, c) for e, c in pairs])
 
 
 def _gauss_vec(M: int, ff: FiniteField, j: int) -> CycVec:
-    return CycVec.from_pairs(M, _gauss_pairs(M, ff, j))
+    return CycVec(M, _np.bincount(_gauss_indices(M, ff, j), minlength=M))
 
 
 def _delta_vec(M: int, chi: TameChar) -> tuple[CycVec, int]:
     """The root number as (vector, k) with value vec * p^(k/2)."""
-    pairs, k = _root_number_pairs(M, chi)
-    return CycVec.from_pairs(M, pairs), k
+    idx, k = _root_number_indices(M, chi)
+    return CycVec(M, _np.bincount(idx, minlength=M)), k
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +668,8 @@ def base_field_of(K: TameField) -> TameField:
 def norm_transport(K: TameField, chi: TameChar) -> TameChar:
     """chi o N for a base-field character chi: the character of K^* given
     by composing with the norm map of the degree-l tame extension."""
-    assert chi.field == base_field_of(K), "chi must live on the base field"
+    if chi.field != base_field_of(K):
+        raise DomainMismatch(f"chi lives on {chi.field}, not on the base field of {K}")
     base = K.base
     q = base.q
     ell = K.e * K.f
@@ -754,19 +765,6 @@ def check_DH_I(K: TameField, chi: TameChar) -> bool:
     elif rhs_k > lhs_k:
         rhs = rhs.scale(p ** ((rhs_k - lhs_k) // 2))
     return (lhs - rhs).is_zero()
-
-
-def _dh1_sides_dense(K: TameField, chi: TameChar) -> tuple[RootValue, RootValue]:
-    """Both sides on the dense cyclotomic path (small fields only); used
-    to cross-check the vector fast path."""
-    chi_k = norm_transport(K, chi)
-    s_chars = norm_characters(K)
-    lhs = root_number(chi_k)
-    rhs = root_value_one(K.base.p)
-    for mu in s_chars:
-        lhs = lhs * root_number(mu)
-        rhs = rhs * root_number(chi.mul(mu))
-    return lhs, rhs
 
 
 def dh1_sweep(

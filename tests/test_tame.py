@@ -1,6 +1,6 @@
 import random
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -46,8 +46,10 @@ from monomial.tame import (
     tame_field,
     twist_exponent,
     _delta_vec,
-    _dh1_sides_dense,
+    _gauss_vec,
     _is_irreducible,
+    _primitive_indices,
+    _swept_characters,
 )
 
 
@@ -297,6 +299,131 @@ def test_delta_vec_is_the_promoted_root_number():
         assert (from_vec.k, from_vec.c.coeffs) == (rn.k, rn.c.promote(M).coeffs), chi
 
 
+def _pair_gauss(M, ff, j):
+    """The Gauss sum as (exponent, coefficient) pairs, one per unit g^k:
+    the oracle for the index-array construction."""
+    q1 = ff.q - 1
+    return [
+        (((-j * k) % q1) * (M // q1) + ff.trace(x) * (M // ff.p), 1)
+        for k, x in enumerate(ff.exp)
+    ]
+
+
+def _pair_root_number(M, chi):
+    """The root number as (exponent mod M, coefficient) pairs and k."""
+    field = chi.field
+    zexp = chi.z_num * (M // chi.z_den) * twist_exponent(chi)
+    if chi.a == 0:
+        return [(zexp % M, 1)], 0
+    ff = field.residue
+    zexp += chi.j * ff.log[field.e % field.p] * (M // (ff.q - 1))
+    return [((zexp + x) % M, c) for x, c in _pair_gauss(M, ff, chi.j)], -ff.f
+
+
+def _same_vector(vec, pairs, M):
+    expected = CycVec.from_pairs(M, pairs).arr
+    assert vec.arr.dtype == np.int64 and vec.arr.shape == (M,)
+    return np.array_equal(vec.arr, expected)
+
+
+_DH1_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+               (13, 1), (2, 4))
+
+
+def _dh1_extensions():
+    """Every (K, M) of the dh1 sweeps on q <= 16 and l in {2, 3, 5}, with
+    the modulus check_DH_I multiplies at (the swept z_den is q - 1, or 4
+    when q = 2)."""
+    for p, f in _DH1_FIELDS:
+        base = finite_field(p, f)
+        q = base.q
+        for ell in (2, 3, 5):
+            for ramified in (False, True):
+                if ramified and (q - 1) % ell or not ramified and q**ell > 4096:
+                    continue
+                K = tame_field(base, ell, 1) if ramified else tame_field(base, 1, ell)
+                M = lcm(p, K.q - 1, max(q - 1, 1), ell, 4 if q == 2 else 1,
+                        8 if p == 2 else 4 * p)
+                yield K, M
+
+
+def test_index_vectors_match_pair_oracle():
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        f = 1
+        while p**f <= 64:
+            ff = finite_field(p, f)
+            M = lcm(ff.q - 1, p)
+            for j in range(ff.q - 1):
+                for m in (M, 3 * M):
+                    assert _same_vector(_gauss_vec(m, ff, j), _pair_gauss(m, ff, j), m)
+            f += 1
+    extensions = 0
+    for K, M in _dh1_extensions():
+        mus = norm_characters(K)
+        for chi in _swept_characters(base_field_of(K)):
+            for c in [chi, norm_transport(K, chi), *mus, *(chi.mul(mu) for mu in mus)]:
+                vec, k = _delta_vec(M, c)
+                pairs, k_pairs = _pair_root_number(M, c)
+                assert k == k_pairs and _same_vector(vec, pairs, M), (K, c)
+        extensions += 1
+    assert extensions == 36
+
+
+@lru_cache(maxsize=None)
+def _all_primitive(M):
+    return [t for t in range(M) if gcd(t, M) == 1]
+
+
+def _full_fft_is_zero(v):
+    """CycVec.is_zero read from a complex FFT at every primitive index."""
+    total = float(np.abs(v.arr).sum(dtype=np.float64))
+    if total == 0:
+        return True
+    if 1e-12 * total * (v.M.bit_length() + 4) < 0.05:
+        top = float(np.abs(np.fft.fft(v.arr)[_all_primitive(v.M)]).max())
+        if top < 0.25:
+            return True
+        if top > 0.75:
+            return False
+    return v._exact_is_zero()
+
+
+def _structured_zero(rng, M):
+    """A signed sum of shifted full sets of d-th roots of unity, d > 1."""
+    divisors = [d for d in range(2, M + 1) if M % d == 0]
+    pairs = []
+    for _ in range(rng.randrange(1, 4)):
+        d, s, c = rng.choice(divisors), rng.randrange(M), rng.choice([-3, -1, 1, 2])
+        pairs += [(s + k * (M // d), c) for k in range(d)]
+    return pairs
+
+
+def test_rfft_zero_test_matches_full_fft_and_exact():
+    rng = random.Random(13)
+    for M in (1, 2, 3, 12, 15, 30, 126, 87780):
+        for _ in range(30):
+            pairs = [(rng.randrange(M), rng.randrange(-3, 4)) for _ in range(rng.randrange(1, 8))]
+            cases = [pairs]
+            if M > 1:
+                zero = _structured_zero(rng, M)
+                cases += [zero, zero + pairs]
+            for case in cases:
+                v = CycVec.from_pairs(M, case)
+                assert v.is_zero() == _full_fft_is_zero(v), (M, case)
+                if M <= 126:
+                    assert v.is_zero() == v._exact_is_zero(), (M, case)
+            if M > 1:
+                assert CycVec.from_pairs(M, zero).is_zero()
+
+
+def test_primitive_indices_are_the_lower_half_units():
+    for M in list(range(1, 200)) + [87780]:
+        prim = _primitive_indices(M)
+        assert prim.tolist() == [t for t in range(M // 2 + 1) if gcd(t, M) == 1], M
+        with pytest.raises(ValueError):
+            prim[0] = 0
+
+
 def test_gauss_sum_oracles():
     # trivial character: the full additive sum over nonzero elements
     assert gauss_sum(5, 1, 0) == Cyclotomic.from_rational(-1)
@@ -333,6 +460,7 @@ def test_root_value_algebra():
     a = root_value(7, Cyclotomic.root_of_unity(3, 1), 1)
     assert vg.eq(vg.mul(a, vg.inv(a)), vg.one())
     assert vg.pow(a, 2) == a * a
+    assert vg.describe(a) == repr(a)
     with pytest.raises(PrimeMismatch):
         vg.eq(a, root_value_one(5))
     with pytest.raises(PrimeMismatch):
@@ -451,6 +579,18 @@ def test_norm_characters():
         norm_characters(tame_field(finite_field(2, 1), 3, 1))
 
 
+def _dh1_sides_dense(K, chi):
+    """Both sides of check_DH_I as RootValues on the dense cyclotomic path
+    (small fields only): the oracle for the vector path."""
+    s_chars = norm_characters(K)
+    lhs = root_number(norm_transport(K, chi))
+    rhs = root_value_one(K.base.p)
+    for mu in s_chars:
+        lhs = lhs * root_number(mu)
+        rhs = rhs * root_number(chi.mul(mu))
+    return lhs, rhs
+
+
 def test_dh1_dense_matches_fast_path():
     for p, f, ell, ramified in (
         (3, 1, 2, True),
@@ -522,20 +662,28 @@ def test_tame_failures_are_verdicts(flags, run_python):
     ]
 
 
-# Mixed primes and int64 overflow are refused by type, not by an assert.
+# Mixed primes, int64 overflow, sqrt(p) outside Z[zeta_M] and characters
+# of different fields are refused by type, not by an assert.
 _REFUSALS = """
-from monomial.errors import PrimeMismatch, TooLarge
-from monomial.tame import CycVec, root_value_one
+from monomial.errors import DomainMismatch, ModulusMismatch, PrimeMismatch, TooLarge
+from monomial.tame import (
+    CycVec, _sqrt_vec, finite_field, norm_transport, root_value_one, tame_char,
+    tame_field,
+)
 
+f5, f7 = tame_field(finite_field(5, 1), 1, 1), tame_field(finite_field(7, 1), 1, 1)
 for attempt in (
     lambda: root_value_one(2) == root_value_one(3),
     lambda: root_value_one(2) * root_value_one(3),
     lambda: CycVec(4, [2**40, 2**40, 0, 0]) * CycVec(4, [2**23, 2**23, 0, 0]),
     lambda: CycVec(4, [2**40, -2**40, 0, 0]).scale(-2**22),
+    lambda: _sqrt_vec(10, 3),
+    lambda: tame_char(f5, 1).mul(tame_char(f7, 1)),
+    lambda: norm_transport(tame_field(finite_field(5, 1), 2, 1), tame_char(f7, 1)),
 ):
     try:
         print(attempt())
-    except (PrimeMismatch, TooLarge) as exc:
+    except (DomainMismatch, ModulusMismatch, PrimeMismatch, TooLarge) as exc:
         print(type(exc).__name__)
 """
 
@@ -543,14 +691,17 @@ for attempt in (
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_refusals_hold_under_optimisation(flags, run_python):
     out = run_python(flags, _REFUSALS)
-    assert out[:4] == ["PrimeMismatch", "PrimeMismatch", "TooLarge", "TooLarge"]
+    assert out[:7] == [
+        "PrimeMismatch", "PrimeMismatch", "TooLarge", "TooLarge",
+        "ModulusMismatch", "DomainMismatch", "DomainMismatch",
+    ]
 
 
 # Vectors and exponent pairs at an incompatible modulus are refused by type.
 _MODULUS_REFUSALS = """
 from monomial.errors import ModulusMismatch
 from monomial.tame import (
-    CycVec, _gauss_pairs, _root_number_pairs, finite_field, tame_char, tame_field,
+    CycVec, _gauss_indices, _root_number_indices, finite_field, tame_char, tame_field,
 )
 
 chi = tame_char(tame_field(finite_field(5, 1), 1, 1), 1, 1, 4)
@@ -558,8 +709,8 @@ for attempt in (
     lambda: CycVec(4, [1, 2, 3]),
     lambda: CycVec(3, [1, 0, 0]) - CycVec(4, [1, 0, 0, 0]),
     lambda: CycVec(3, [1, 0, 0]) * CycVec(4, [1, 0, 0, 0]),
-    lambda: _gauss_pairs(10, finite_field(5, 1), 1),
-    lambda: _root_number_pairs(30, chi),
+    lambda: _gauss_indices(10, finite_field(5, 1), 1),
+    lambda: _root_number_indices(30, chi),
 ):
     try:
         print(attempt())
