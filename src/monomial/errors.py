@@ -97,6 +97,12 @@ class ConditionsViolated(MonomialError):
 # --- tame-arith ---------------------------------------------------------
 
 
+class OutOfDomain(MonomialError):
+    """A tame construction was given an argument outside its domain: a
+    field F_{p^f} with p not prime or f < 1, a power of 0 with exponent
+    <= 0, or a root of unity of order below 1."""
+
+
 class NotTame(MonomialError):
     """Character conductor would exceed 1 (wild ramification is out of scope)."""
 

@@ -6,12 +6,17 @@ F_q -> F_p is a linear form: an element's digits against Tr(x^i), the power
 sums of the modulus's roots.  A Gauss sum is one int64 array of exponents
 mod M, one term per unit g^k read off the per-field arrays (k, Tr(g^k)),
 and a root number is that array shifted by the uniformizer and chibar(e)
-twists.  Both representations are counted from these arrays: the integer
-vectors modulo x^M - 1 (CycVec) that the large-field identities multiply,
-and the dense Cyclotomic values (gauss_sum, root_number) converted from
-them.  The CycVec zero test is rigorous: a nonzero algebraic integer has a
-conjugate of absolute value >= 1, so checking every embedding numerically
-below 1/2 with a guaranteed error bound decides exact vanishing.
+twists.  M is any multiple of p and of the order r = (q - 1)/gcd(j, q - 1)
+of chibar_j (and of z_den for a root number): the lifting identity is
+decided at the lcm of the moduli its characters need, not at q_K - 1.
+Both representations are counted from these arrays: the integer vectors
+modulo x^M - 1 (CycVec) that the large-field identities multiply, and the
+dense Cyclotomic values (gauss_sum, root_number) converted from them at the
+fixed moduli their docstrings give.  The CycVec zero test is rigorous: a
+nonzero algebraic integer has a conjugate of absolute value >= 1, so when
+the guaranteed FFT error is small, every conjugate below 1/4 proves zero
+and one above 3/4 proves nonzero; anything between, or a vector too large
+for the error bound, is decided by an exact remainder.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .errors import (
     ModulusMismatch,
     NotAbelianTameCase,
     NotTame,
+    OutOfDomain,
     PrimeMismatch,
     TooLarge,
     UnsupportedModel,
@@ -84,7 +90,8 @@ class FiniteField:
     """F_{p^f} with integer-encoded elements and full log/exp tables."""
 
     def __init__(self, p: int, f: int):
-        assert _is_prime(p) and f >= 1
+        if not (_is_prime(p) and f >= 1):
+            raise OutOfDomain(f"no field F_{{p^f}} for p = {p}, f = {f}")
         self.p = p
         self.f = f
         self.q = p**f
@@ -179,12 +186,12 @@ class FiniteField:
         return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
-        assert a != 0
-        return self.exp[(-self.log[a]) % (self.q - 1)]
+        return self.pow(a, -1)
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
-            assert e > 0
+            if e <= 0:
+                raise OutOfDomain(f"0^{e} is undefined in {self}")
             return 0
         return self.exp[(self.log[a] * e) % (self.q - 1)]
 
@@ -200,7 +207,8 @@ class FiniteField:
     def embedding_root(self, big: "FiniteField") -> int:
         """The least root in `big` of this field's modulus (an explicit
         subfield embedding); requires f | big.f and equal p."""
-        assert big.p == self.p and big.f % self.f == 0
+        if big.p != self.p or big.f % self.f:
+            raise DomainMismatch(f"{self} is not a subfield of {big}")
         mod = list(self.modulus)
         for alpha in range(big.q):
             acc = 0
@@ -242,18 +250,27 @@ def _exp_traces(p: int, f: int) -> tuple[_np.ndarray, _np.ndarray]:
 # Gauss sums
 
 
+def _residue_order(q: int, j: int) -> tuple[int, int]:
+    """(g, r): g = gcd(j, q - 1) and r = (q - 1)/g, the order of chibar_j."""
+    g = gcd(j, q - 1)
+    return g, (q - 1) // g
+
+
 def _gauss_indices(M: int, ff: FiniteField, j: int, shift: int = 0) -> _np.ndarray:
     """zeta_M^shift * G(chibar_j) in Z[zeta_M] as one int64 array of
-    exponents mod M, each term with coefficient 1: the unit g^k contributes
-    (-j k mod (q - 1)) M/(q - 1) + Tr(g^k) M/p + shift.  M is a multiple of
-    q - 1 and p; j and shift are reduced in Python integers, so every
-    int64 step stays below 3M."""
-    q1 = ff.q - 1
-    if M % q1 or M % ff.p:
-        raise ModulusMismatch(f"Gauss sum of F_{ff.q} needs q - 1 and p to divide M = {M}")
+    exponents mod M, each term with coefficient 1.  chibar_j has order
+    r = (q - 1)/g, g = gcd(j, q - 1), so the unit g^k contributes
+    ((-j mod (q - 1))/g k mod r) M/r + Tr(g^k) M/p + shift.  M is any
+    multiple of r and p; j and shift are reduced in Python integers, so
+    every int64 step stays below 3M."""
+    g, r = _residue_order(ff.q, j)
+    if M % r or M % ff.p:
+        raise ModulusMismatch(
+            f"Gauss sum of order {r} over F_{ff.q} needs {r} and p to divide M = {M}"
+        )
     k, tr = _exp_traces(ff.p, ff.f)
-    units = (-j % q1) * k % q1
-    return (units * (M // q1) + tr * (M // ff.p) + shift % M) % M
+    units = ((-j) % (ff.q - 1)) // g * k % r
+    return (units * (M // r) + tr * (M // ff.p) + shift % M) % M
 
 
 @lru_cache(maxsize=None)
@@ -370,7 +387,10 @@ class TameField:
 
 
 def tame_field(base: FiniteField, e: int, f: int, lpsi_base: int = 0) -> TameField:
-    assert e == 1 or _is_prime(e)
+    if not (e == 1 or _is_prime(e)):
+        raise NotAbelianTameCase(f"ramification index {e} is neither 1 nor a prime")
+    if f < 1:
+        raise OutOfDomain(f"relative residue degree {f} is below 1")
     return TameField(base=base, e=e, f=f, lpsi_base=lpsi_base)
 
 
@@ -413,7 +433,8 @@ class TameChar:
 def tame_char(
     field: TameField, j: int, z_num: int = 0, z_den: int = 1, a: int | None = None
 ) -> TameChar:
-    assert z_den >= 1
+    if z_den < 1:
+        raise OutOfDomain(f"uniformizer value zeta_{z_den}^{z_num}: the order must be >= 1")
     z_num %= z_den
     if z_num == 0:
         z_num, z_den = 0, 1
@@ -436,7 +457,7 @@ def _root_number_indices(M: int, chi: TameChar) -> tuple[_np.ndarray, int]:
     """Delta(chi) = z^(a - lpsi) * (chibar(e) * G(chibar) * p^(-f/2) if
     a = 1) as the int64 exponents mod M of its terms in Z[zeta_M], each
     with coefficient 1, and the half-power k of p; M is a multiple of
-    z_den, and of q - 1 and p if a = 1."""
+    _delta_modulus(chi)."""
     field = chi.field
     if M % chi.z_den:
         raise ModulusMismatch(f"uniformizer root of order {chi.z_den} does not divide M = {M}")
@@ -445,9 +466,19 @@ def _root_number_indices(M: int, chi: TameChar) -> tuple[_np.ndarray, int]:
         return _np.array([zexp % M], dtype=_np.int64), 0
     ff = field.residue
     # the additive character of a ramified E reduces to psibar(e * x),
-    # so the Gauss sum picks up chibar(e) (a trivial twist when e = 1)
-    zexp += chi.j * ff.log[field.e % field.p] * (M // (ff.q - 1))
+    # so the Gauss sum picks up chibar(e) (a trivial twist when e = 1);
+    # an M that r does not divide is refused by _gauss_indices
+    g, r = _residue_order(ff.q, chi.j)
+    zexp += chi.j // g * ff.log[field.e % field.p] * (M // r)
     return _gauss_indices(M, ff, chi.j, zexp), -ff.f
+
+
+def _delta_modulus(chi: TameChar) -> int:
+    """The modulus that _root_number_indices needs to divide M: z_den if
+    chi is unramified, else lcm(z_den, r, p) with r the order of chibar."""
+    if chi.a == 0:
+        return chi.z_den
+    return lcm(chi.z_den, _residue_order(chi.field.q, chi.j)[1], chi.field.p)
 
 
 def root_number(chi: TameChar) -> RootValue:
@@ -731,19 +762,21 @@ def norm_characters(K: TameField) -> list[TameChar]:
 
 def check_DH_I(K: TameField, chi: TameChar) -> bool:
     """Delta(K, chi o N) * prod_{mu in S(K|F)} Delta(F, mu)
-       = prod_{mu in S(K|F)} Delta(F, chi mu), exactly."""
-    base = K.base
-    p = base.p
+       = prod_{mu in S(K|F)} Delta(F, chi mu), exactly.
+
+    Both sides are multiplied in Z[zeta_M], M the lcm of p, l, the modulus
+    of sqrt(p) (8, or 4p) and the _delta_modulus of every root number in
+    the identity.  chi o N and each mu have order dividing q - 1, so q_K - 1
+    never enters M.  x -> x^(M'/M) maps Z[zeta_M] injectively into any
+    Z[zeta_M'] with M | M', so the verdict is the same at every such M'."""
+    p = K.base.p
     chi_k = norm_transport(K, chi)
     s_chars = norm_characters(K)
-    q_k = K.residue.q
-    q = base.q
+    twisted = [chi.mul(mu) for mu in s_chars]
     M = lcm(
         p,
-        max(q_k - 1, 1),
-        max(q - 1, 1),
+        *map(_delta_modulus, [chi_k, *s_chars, *twisted]),
         K.e * K.f,
-        chi.z_den,
         8 if p == 2 else 4 * p,
     )
     lhs, lhs_k = _delta_vec(M, chi_k)
@@ -751,8 +784,8 @@ def check_DH_I(K: TameField, chi: TameChar) -> bool:
         v, k = _delta_vec(M, mu)
         lhs, lhs_k = lhs * v, lhs_k + k
     rhs, rhs_k = CycVec.from_pairs(M, [(0, 1)]), 0
-    for mu in s_chars:
-        v, k = _delta_vec(M, chi.mul(mu))
+    for mu in twisted:
+        v, k = _delta_vec(M, mu)
         rhs, rhs_k = rhs * v, rhs_k + k
     if (lhs_k - rhs_k) % 2:
         # equalize parity with an exact sqrt(p) factor

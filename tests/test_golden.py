@@ -38,6 +38,8 @@ REPORTS = [
      ["tame", "galois-model", "--model", "s3", "--q", "2", "--ell", "3"]),
     ("tame_dh1_q7_ell3_ramified.txt", ["tame", "dh1", "--q", "7", "--ell", "3", "--ramified"]),
     ("tame_dh1_q4_ell3.txt", ["tame", "dh1", "--q", "4", "--ell", "3"]),
+    ("tame_dh1_q11_ell3.txt", ["tame", "dh1", "--q", "11", "--ell", "3"]),
+    ("tame_dh1_q16_ell3.txt", ["tame", "dh1", "--q", "16", "--ell", "3"]),
     ("tame_dh3_q2_ell3.txt", ["tame", "dh3", "--q", "2", "--ell", "3"]),
     ("thm27_S3xS3.txt", ["verify", "thm27", "S3xS3.grp"]),
     ("thm27_Q8xC3.txt", ["verify", "thm27", "Q8xC3.grp"]),

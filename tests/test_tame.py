@@ -45,10 +45,14 @@ from monomial.tame import (
     tame_char,
     tame_field,
     twist_exponent,
+    _delta_modulus,
     _delta_vec,
+    _gauss_indices,
     _gauss_vec,
     _is_irreducible,
     _primitive_indices,
+    _root_number_indices,
+    _sqrt_vec,
     _swept_characters,
 )
 
@@ -326,6 +330,14 @@ def _same_vector(vec, pairs, M):
     return np.array_equal(vec.arr, expected)
 
 
+def _same_terms(idx, m, pairs, M):
+    """Exponents mod m and oracle pairs mod M name the same roots of unity,
+    term by term, once both are lifted into Z[zeta_lcm(m, M)]."""
+    big = lcm(m, M)
+    expected = np.array([e % M for e, _ in pairs], dtype=np.int64) * (big // M)
+    return np.array_equal(idx * (big // m), expected)
+
+
 _DH1_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
                (13, 1), (2, 4))
 
@@ -347,17 +359,35 @@ def _dh1_extensions():
                 yield K, M
 
 
-def test_index_vectors_match_pair_oracle():
+def _gauss_fields():
+    """(p, f) of every field F_q with q <= 64."""
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
         f = 1
         while p**f <= 64:
-            ff = finite_field(p, f)
-            M = lcm(ff.q - 1, p)
-            for j in range(ff.q - 1):
-                for m in (M, 3 * M):
-                    assert _same_vector(_gauss_vec(m, ff, j), _pair_gauss(m, ff, j), m)
+            yield p, f
             f += 1
-    extensions = 0
+
+
+def test_index_vectors_match_pair_oracle():
+    # at M = lcm(q - 1, p) and 3M the vectors are the oracle's; at the
+    # character's own modulus M' (lcm(r, p) for a Gauss sum, r the order of
+    # chibar_j; _delta_modulus for a root number) and at 3M', the exponents
+    # are the oracle's at M, term by term, once lifted to a common modulus
+    reduced = 0
+    for p, f in _gauss_fields():
+        ff = finite_field(p, f)
+        q1 = ff.q - 1
+        M = lcm(q1, p)
+        for j in range(q1):
+            for m in (M, 3 * M):
+                assert _same_vector(_gauss_vec(m, ff, j), _pair_gauss(m, ff, j), m)
+            own = lcm(q1 // gcd(j, q1), p)
+            pairs = _pair_gauss(M, ff, j)
+            for m in (own, 3 * own):
+                assert _same_terms(_gauss_indices(m, ff, j), m, pairs, M), (p, f, j, m)
+            reduced += own < M
+    assert reduced > 300
+    extensions = reduced = 0
     for K, M in _dh1_extensions():
         mus = norm_characters(K)
         for chi in _swept_characters(base_field_of(K)):
@@ -365,8 +395,49 @@ def test_index_vectors_match_pair_oracle():
                 vec, k = _delta_vec(M, c)
                 pairs, k_pairs = _pair_root_number(M, c)
                 assert k == k_pairs and _same_vector(vec, pairs, M), (K, c)
+                own = _delta_modulus(c)
+                assert M % own == 0, (K, c)
+                for m in (own, 3 * own):
+                    idx, k_idx = _root_number_indices(m, c)
+                    assert k_idx == k and _same_terms(idx, m, pairs, M), (K, c, m)
+                reduced += c.a == 1 and (c.field.q - 1) % own != 0
         extensions += 1
-    assert extensions == 36
+    assert extensions == 36 and reduced > 100
+
+
+def _check_DH_I_at_the_residue_modulus(K, chi):
+    """check_DH_I with every vector at lcm(p, q_K - 1, q - 1, l, z_den, 8
+    or 4p), the modulus it took before it used each character's own."""
+    p, q = K.base.p, K.base.q
+    M = lcm(p, max(K.q - 1, 1), max(q - 1, 1), K.e * K.f, chi.z_den,
+            8 if p == 2 else 4 * p)
+    s_chars = norm_characters(K)
+    lhs, lhs_k = _delta_vec(M, norm_transport(K, chi))
+    rhs, rhs_k = CycVec.from_pairs(M, [(0, 1)]), 0
+    for mu in s_chars:
+        v, k = _delta_vec(M, mu)
+        lhs, lhs_k = lhs * v, lhs_k + k
+        v, k = _delta_vec(M, chi.mul(mu))
+        rhs, rhs_k = rhs * v, rhs_k + k
+    if (lhs_k - rhs_k) % 2:
+        if lhs_k < rhs_k:
+            lhs, lhs_k = lhs * _sqrt_vec(M, p), lhs_k + 1
+        else:
+            rhs, rhs_k = rhs * _sqrt_vec(M, p), rhs_k + 1
+    if lhs_k > rhs_k:
+        lhs = lhs.scale(p ** ((lhs_k - rhs_k) // 2))
+    elif rhs_k > lhs_k:
+        rhs = rhs.scale(p ** ((rhs_k - lhs_k) // 2))
+    return (lhs - rhs).is_zero()
+
+
+def test_dh1_verdicts_match_the_residue_modulus():
+    cases = 0
+    for K, _ in _dh1_extensions():
+        for chi in _swept_characters(base_field_of(K)):
+            assert check_DH_I(K, chi) == _check_DH_I_at_the_residue_modulus(K, chi), (K, chi)
+            cases += 1
+    assert cases > 300
 
 
 @lru_cache(maxsize=None)
@@ -697,6 +768,39 @@ def test_refusals_hold_under_optimisation(flags, run_python):
     ]
 
 
+# Fields, extensions and characters outside their domain, zero's inverse
+# and a non-subfield embedding are refused by type, not by an assert.
+_FIELD_REFUSALS = """
+from monomial.errors import MonomialError
+from monomial.tame import finite_field, tame_char, tame_field
+
+f5 = finite_field(5, 1)
+for attempt in (
+    lambda: finite_field(6, 1),
+    lambda: f5.inv(0),
+    lambda: f5.pow(0, -1),
+    lambda: tame_char(tame_field(f5, 1, 1), 1, 1, 0),
+    lambda: tame_field(f5, 4, 1),
+    lambda: finite_field(2, 2).embedding_root(finite_field(3, 2)),
+    lambda: finite_field(2, 2).embedding_root(finite_field(2, 3)),
+):
+    try:
+        print(attempt())
+    except MonomialError as exc:
+        print(type(exc).__name__)
+print(f5.inv(2), f5.pow(2, -1), f5.pow(0, 3))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_field_refusals_hold_under_optimisation(flags, run_python):
+    out = run_python(flags, _FIELD_REFUSALS)
+    assert out[:8] == [
+        "OutOfDomain", "OutOfDomain", "OutOfDomain", "OutOfDomain",
+        "NotAbelianTameCase", "DomainMismatch", "DomainMismatch", "3 3 0",
+    ]
+
+
 # Vectors and exponent pairs at an incompatible modulus are refused by type.
 _MODULUS_REFUSALS = """
 from monomial.errors import ModulusMismatch
@@ -711,6 +815,8 @@ for attempt in (
     lambda: CycVec(3, [1, 0, 0]) * CycVec(4, [1, 0, 0, 0]),
     lambda: _gauss_indices(10, finite_field(5, 1), 1),
     lambda: _root_number_indices(30, chi),
+    lambda: _gauss_indices(15, finite_field(5, 1), 2),  # r = 2 does not divide M
+    lambda: _gauss_indices(4, finite_field(5, 1), 1),  # p = 5 does not divide M
 ):
     try:
         print(attempt())
@@ -722,7 +828,7 @@ for attempt in (
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_modulus_refusals_hold_under_optimisation(flags, run_python):
     out = run_python(flags, _MODULUS_REFUSALS)
-    assert out[:5] == ["ModulusMismatch"] * 5
+    assert out[:7] == ["ModulusMismatch"] * 7
 
 
 def test_cycvec_products_below_the_bound_are_exact():
