@@ -30,7 +30,7 @@ from .characters import (
     trivial_character,
 )
 from .cyclotomic import Cyclotomic
-from .errors import CNotAbelianNormal, NoSolution
+from .errors import CNotAbelianNormal, DomainMismatch, NoSolution
 from .groups import (
     Group,
     QuotientMap,
@@ -75,7 +75,7 @@ class PairClass:
 def pair_class(h: Subgroup, chi: Character, ambient: Subgroup | None = None) -> PairClass:
     if ambient is None:
         ambient = full_subgroup(h.parent)
-    assert ambient.contains_subgroup(h)
+    _require_within(ambient, h, "pair class")
     best = None
     for g in ambient.elements:
         cc = conjugate_character(chi, g)
@@ -83,6 +83,12 @@ def pair_class(h: Subgroup, chi: Character, ambient: Subgroup | None = None) -> 
         if best is None or key < best[0]:
             best = (key, cc)
     return PairClass(ambient=ambient, subgroup=best[1].domain, char=best[1])
+
+
+def _require_within(outer: Subgroup, inner: Subgroup, what: str) -> None:
+    """Refuse, by type, an `inner` that is not a subgroup of `outer`."""
+    if inner.parent != outer.parent or not outer.contains_subgroup(inner):
+        raise DomainMismatch(f"{what}: {inner} is not a subgroup of {outer}")
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +116,8 @@ class RPlusElement:
         return tuple(c for c, _ in self.coefficients)
 
     def __add__(self, other):
-        assert self.ambient == other.ambient
+        if self.ambient != other.ambient:
+            raise DomainMismatch(f"elements over {self.ambient} and {other.ambient}")
         lower = (
             self.lower
             if other.lower.contains_subgroup(self.lower)
@@ -158,7 +165,8 @@ def rplus(ambient: Subgroup, lower: Subgroup, items) -> RPlusElement:
         )
     )
     for cls, _ in coeffs:
-        assert cls.subgroup.contains_subgroup(lower), "pair below lower bound"
+        if not cls.subgroup.contains_subgroup(lower):
+            raise DomainMismatch(f"pair {cls} lies below the lower bound {lower}")
     return RPlusElement(ambient=ambient, lower=lower, coefficients=coeffs)
 
 
@@ -257,7 +265,8 @@ def _double_cosets(ambient: Subgroup, h1: Subgroup, h2: Subgroup):
 
 
 def multiply(x: RPlusElement, y: RPlusElement) -> RPlusElement:
-    assert x.ambient == y.ambient
+    if x.ambient != y.ambient:
+        raise DomainMismatch(f"elements over {x.ambient} and {y.ambient}")
     parent = x.ambient.parent
     lower = intersection(x.lower, y.lower)
     items = []
@@ -281,7 +290,7 @@ def one_rplus(ambient: Subgroup) -> RPlusElement:
 
 def induce_rplus(x: RPlusElement, target: Subgroup) -> RPlusElement:
     """Ind: R+(<=B) -> R+(<=T): reinterpret each class in the larger ambient."""
-    assert target.contains_subgroup(x.ambient)
+    _require_within(target, x.ambient, "induction")
     items = [
         (pair_class(cls.subgroup, cls.char, target), n)
         for cls, n in x.coefficients
@@ -291,7 +300,7 @@ def induce_rplus(x: RPlusElement, target: Subgroup) -> RPlusElement:
 
 def restrict_rplus(x: RPlusElement, h: Subgroup) -> RPlusElement:
     """Mackey restriction: Res_H([H1,chi]) over double cosets H\\ambient/H1."""
-    assert x.ambient.contains_subgroup(h)
+    _require_within(x.ambient, h, "restriction")
     parent = x.ambient.parent
     items = []
     for cls, n in x.coefficients:

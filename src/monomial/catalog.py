@@ -1,8 +1,18 @@
 """Built-in group catalog.
 
-Names: C1..C16, S3, S4, A4, D4 (order 8), D6 (order 12), Q8,
-Heisenberg27, and Frobenius groups F_l_m = C_l x| C_m for
-(l, m) in {(3,2), (5,4), (7,3), (7,6), (13,3)}.
+Most families are one metacyclic presentation G(e, f, k, r) =
+<tau, sigma | tau^e = 1, sigma tau sigma^-1 = tau^k, sigma^f = tau^r>
+(`groups.metacyclic`, element tau^a sigma^b labelled a + e*b):
+
+- C1..C16: C_n = G(n, 1, 1, 0);
+- S3, D4 (order 8), D6 (order 12): D_k = G(k, 2, k - 1, 0);
+- Q8 = G(4, 2, 3, 2);
+- Frobenius groups F_l_m = C_l x| C_m = G(l, m, r, 0), with r the least
+  residue of multiplicative order m mod l, for
+  (l, m) in {(3,2), (5,4), (7,3), (7,6), (13,3)}.
+
+The others are A4 and S4 (permutation groups of {0, 1, 2, 3}) and
+Heisenberg27 (upper unitriangular 3x3 matrices over F_3).
 """
 
 from __future__ import annotations
@@ -10,25 +20,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
+from .cyclotomic import _multiplicative_order
 from .errors import ParseError
-from .groups import Group, make_group
-
-
-def _cyclic_table(n):
-    return [[(i + j) % n for j in range(n)] for i in range(n)]
-
-
-def _dihedral_table(k):
-    # element (r, s) -> index r + k*s ; (r1,s1)(r2,s2) = (r1 + (-1)^s1 r2, s1^s2)
-    n = 2 * k
-
-    def mul(i, j):
-        r1, s1 = i % k, i // k
-        r2, s2 = j % k, j // k
-        r = (r1 + (r2 if s1 == 0 else -r2)) % k
-        return r + k * (s1 ^ s2)
-
-    return [[mul(i, j) for j in range(n)] for i in range(n)]
+from .groups import Group, make_group, metacyclic
 
 
 def _perm_group_table(perms):
@@ -43,17 +37,6 @@ def _perm_group_table(perms):
     return [[index[compose(p, q)] for q in perms] for p in perms]
 
 
-def _q8_table():
-    # element i^a j^b -> index a + 4b; j i = i^-1 j and j^2 = i^2
-    def mul(x, y):
-        a, b = x % 4, x // 4
-        c, d = y % 4, y // 4
-        a2 = (a + (c if b == 0 else -c) + 2 * (b * d)) % 4
-        return a2 + 4 * ((b + d) % 2)
-
-    return [[mul(i, j) for j in range(8)] for i in range(8)]
-
-
 def _heisenberg27_table():
     # upper unitriangular 3x3 over F_3: (a,b,c) -> a + 3b + 9c
     def mul(x, y):
@@ -64,45 +47,22 @@ def _heisenberg27_table():
     return [[mul(i, j) for j in range(27)] for i in range(27)]
 
 
-def _frobenius_table(l, m):
-    # C_l x| C_m with C_m acting by the least r of multiplicative order m
-    r = next(
-        x
-        for x in range(2, l)
-        if pow(x, m, l) == 1
-        and all(pow(x, d, l) != 1 for d in range(1, m) if m % d == 0)
-    )
-
-    def mul(i, j):
-        x1, y1 = i % l, i // l
-        x2, y2 = j % l, j // l
-        return (x1 + pow(r, y1, l) * x2) % l + l * ((y1 + y2) % m)
-
-    return [[mul(i, j) for j in range(l * m)] for i in range(l * m)]
-
-
 @lru_cache(maxsize=None)
 def _build() -> dict[str, Group]:
     groups = {}
     for n in range(1, 17):
-        groups[f"C{n}"] = make_group(_cyclic_table(n), name=f"C{n}")
-    groups["S3"] = make_group(_dihedral_table(3), name="S3")
-    groups["D4"] = make_group(_dihedral_table(4), name="D4")
-    groups["D6"] = make_group(_dihedral_table(6), name="D6")
-    groups["Q8"] = make_group(_q8_table(), name="Q8")
-    groups["A4"] = make_group(
-        _perm_group_table(
-            [p for p in permutations(range(4)) if _sign(p) == 1]
-        ),
-        name="A4",
-    )
-    groups["S4"] = make_group(
-        _perm_group_table(list(permutations(range(4)))), name="S4"
-    )
+        groups[f"C{n}"] = metacyclic(n, 1, 1, 0, name=f"C{n}")
+    for name, k in (("S3", 3), ("D4", 4), ("D6", 6)):
+        groups[name] = metacyclic(k, 2, k - 1, 0, name=name)
+    groups["Q8"] = metacyclic(4, 2, 3, 2, name="Q8")
+    s4 = list(permutations(range(4)))
+    groups["A4"] = make_group(_perm_group_table([p for p in s4 if _sign(p) == 1]), name="A4")
+    groups["S4"] = make_group(_perm_group_table(s4), name="S4")
     groups["Heisenberg27"] = make_group(_heisenberg27_table(), name="Heisenberg27")
     for l, m in ((3, 2), (5, 4), (7, 3), (7, 6), (13, 3)):
         name = f"F{l}_{m}"
-        groups[name] = make_group(_frobenius_table(l, m), name=name)
+        r = next(x for x in range(2, l) if _multiplicative_order(x, l) == m)
+        groups[name] = metacyclic(l, m, r, 0, name=name)
     return groups
 
 

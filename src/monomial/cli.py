@@ -19,7 +19,7 @@ from .characters import (
     irreducible_characters,
 )
 from .cyclotomic import factorize
-from .errors import CertificateFailed, HNormal, MonomialError, NotMaximal, ParseError
+from .errors import CertificateFailed, MonomialError, ParseError
 from .extend import (
     FreeAbelianGroup,
     check_conditions,
@@ -45,7 +45,7 @@ from .groups import (
 )
 from .relations import basic_relations, verify_theorem_2_7
 from .tame import check_DH_III_tame, dh1_sweep, galois_delta
-from .type3 import complements_census, h1_trivial, is_type_III
+from .type3 import type3_verdict
 
 
 # ---------------------------------------------------------------------------
@@ -266,30 +266,21 @@ def type3_scan(name, max_order, out):
     ok = True
     for nm, g in _group_targets(name, max_order):
         for h in maximal_subgroups(g):
-            helems = " ".join(str(x) for x in h.elements)
-            try:
-                cert = is_type_III(g, h)
-            except (HNormal, NotMaximal) as exc:
-                lines.append(f"{nm} H=({helems}) refused {type(exc).__name__}")
-                continue
-            except CertificateFailed as exc:
-                lines.append(f"{nm} H=({helems}) failed CertificateFailed: {exc}")
+            head = f"{nm} H=({' '.join(str(x) for x in h.elements)})"
+            verdict = type3_verdict(g, h)
+            if isinstance(verdict.error, CertificateFailed):
+                lines.append(f"{head} failed CertificateFailed: {verdict.error}")
                 ok = False
-                continue
-            if cert.degenerate:
-                lines.append(f"{nm} H=({helems}) degenerate ell={cert.ell}")
-                continue
-            census = complements_census(cert)
-            q = cert.quotient_map.quotient
-            h1 = h1_trivial(
-                make_subgroup(q, cert.qh.elements), make_subgroup(q, cert.qc.elements)
-            )
-            census_ok = census["all_C_conjugate"] and census["count_equals_order_C"]
-            lines.append(
-                f"{nm} H=({helems}) ell={cert.ell} K={cert.k.order} "
-                f"C={cert.c.order} complements={len(census['complements'])} "
-                f"census_ok={census_ok} h1_trivial={h1}"
-            )
+            elif verdict.error is not None:
+                lines.append(f"{head} refused {type(verdict.error).__name__}")
+            elif verdict.cert.degenerate:
+                lines.append(f"{head} degenerate ell={verdict.cert.ell}")
+            else:
+                lines.append(
+                    f"{head} ell={verdict.cert.ell} K={verdict.cert.k.order} "
+                    f"C={verdict.cert.c.order} complements={verdict.complements} "
+                    f"census_ok={verdict.census_ok} h1_trivial={verdict.h1}"
+                )
     _emit("\n".join(lines) + "\n", out)
     if not ok:
         raise SystemExit(1)
@@ -464,31 +455,19 @@ def _campaign_check(check_name, params, targets, lines) -> bool:
     elif check_name == "type3":
         for nm, g, _ in targets:
             for h in maximal_subgroups(g):
-                helems = " ".join(str(x) for x in h.elements)
-                try:
-                    cert = is_type_III(g, h)
-                except (HNormal, NotMaximal) as exc:
-                    lines.append(f"type3 {nm} H=({helems}) refused {type(exc).__name__}")
-                    continue
-                except CertificateFailed as exc:
-                    lines.append(f"type3 {nm} H=({helems}) failed CertificateFailed: {exc}")
+                head = f"type3 {nm} H=({' '.join(str(x) for x in h.elements)})"
+                verdict = type3_verdict(g, h)
+                if isinstance(verdict.error, CertificateFailed):
+                    lines.append(f"{head} failed CertificateFailed: {verdict.error}")
                     ok = False
-                    continue
-                if cert.degenerate:
-                    lines.append(f"type3 {nm} H=({helems}) degenerate")
-                    continue
-                census = complements_census(cert)
-                q = cert.quotient_map.quotient
-                good = (
-                    census["all_C_conjugate"]
-                    and census["count_equals_order_C"]
-                    and h1_trivial(
-                        make_subgroup(q, cert.qh.elements),
-                        make_subgroup(q, cert.qc.elements),
-                    )
-                )
-                lines.append(f"type3 {nm} H=({helems}) ok={good}")
-                ok = ok and good
+                elif verdict.error is not None:
+                    lines.append(f"{head} refused {type(verdict.error).__name__}")
+                elif verdict.cert.degenerate:
+                    lines.append(f"{head} degenerate")
+                else:
+                    good = verdict.census_ok and verdict.h1
+                    lines.append(f"{head} ok={good}")
+                    ok = ok and good
     elif check_name in ("extend", "towers"):
         for nm, g, n in targets:
             delta = constant_delta(g, n, FreeAbelianGroup())

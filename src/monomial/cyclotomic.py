@@ -17,6 +17,14 @@ def _is_prime(m: int) -> bool:
     return m > 1 and all(m % d for d in range(2, int(m**0.5) + 1))
 
 
+def _multiplicative_order(q: int, ell: int) -> int:
+    """ord(q mod ell) for ell prime to q."""
+    m = 1
+    while pow(q, m, ell) != 1:
+        m += 1
+    return m
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """The prime factorisation of n >= 1 as ascending (p, e) pairs, by
     trial division."""

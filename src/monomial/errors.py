@@ -104,7 +104,8 @@ class OutOfDomain(MonomialError):
 
 
 class NotTame(MonomialError):
-    """Character conductor would exceed 1 (wild ramification is out of scope)."""
+    """Character conductor would exceed 1, or p divides the ramification
+    index (wild ramification is out of scope)."""
 
 
 class NotAbelianTameCase(MonomialError):

@@ -243,6 +243,28 @@ def direct_product(a: Group, b: Group) -> Group:
     return make_group(table, name=name)
 
 
+def metacyclic(e: int, f: int, k: int, r: int, name: str | None = None) -> Group:
+    """G(e, f, k, r) = <tau, sigma | tau^e = 1, sigma tau sigma^-1 = tau^k,
+    sigma^f = tau^r>, the shape of every Galois group of a tame extension
+    of local fields (Iwasawa, Trans. AMS 80, 1955), on tau^a sigma^b
+    labelled a + e*b: (tau^a sigma^b)(tau^c sigma^d) =
+    tau^(a + k^b c + r [b + d >= f]) sigma^((b + d) mod f).  Validated like
+    any table, so parameters that present no group are refused."""
+    if not (e >= 1 and f >= 1 and e * f <= MAX_ORDER):
+        raise ParseError(f"G({e}, {f}, {k}, {r}): order e*f is outside 1..{MAX_ORDER}")
+    twist = [pow(k, b, e) for b in range(f)]
+    table = [
+        [
+            (a + twist[b] * c + (r if b + d >= f else 0)) % e + e * ((b + d) % f)
+            for d in range(f)
+            for c in range(e)
+        ]
+        for b in range(f)
+        for a in range(e)
+    ]
+    return make_group(table, name=name)
+
+
 def make_group(table, name: str | None = None, check: bool = True) -> Group:
     table = tuple(tuple(row) for row in table)
     if len(table) > MAX_ORDER:

@@ -32,6 +32,7 @@ from .cyclotomic import (
     Cyclotomic,
     _cyclo_coeffs,
     _is_prime,
+    _multiplicative_order,
     _poly_rem,
     factorize,
     sqrt_prime,
@@ -389,6 +390,8 @@ class TameField:
 def tame_field(base: FiniteField, e: int, f: int, lpsi_base: int = 0) -> TameField:
     if not (e == 1 or _is_prime(e)):
         raise NotAbelianTameCase(f"ramification index {e} is neither 1 nor a prime")
+    if e > 1 and e % base.p == 0:
+        raise NotTame(f"ramification index {e} is divisible by p = {base.p}: wild")
     if f < 1:
         raise OutOfDomain(f"relative residue degree {f} is below 1")
     return TameField(base=base, e=e, f=f, lpsi_base=lpsi_base)
@@ -681,14 +684,6 @@ def _swept_characters(field: TameField):
     for j in range(max(q - 1, 1)):
         for z_num, z_den in [(0, 1), (1, q - 1)] if q > 2 else [(0, 1), (1, 4)]:
             yield tame_char(field, j, z_num, z_den)
-
-
-def _multiplicative_order(q: int, ell: int) -> int:
-    """ord(q mod ell) for ell prime to q."""
-    m = 1
-    while pow(q, m, ell) != 1:
-        m += 1
-    return m
 
 
 def base_field_of(K: TameField) -> TameField:
@@ -1020,7 +1015,7 @@ def galois_delta(
     from .catalog import catalog_group
     from .groups import (
         full_subgroup,
-        make_group,
+        metacyclic,
         normal_subgroups,
         trivial_subgroup,
     )
@@ -1044,16 +1039,7 @@ def galois_delta(
         if ell is None or not _is_prime(ell) or (q - 1) % ell:
             raise UnsupportedModel("bikummer model needs a prime ell | q - 1")
         # element a + ell*b is tau^a sigma^b
-        table = [
-            [
-                ((a1 + a2) % ell) + ell * ((b1 + b2) % ell)
-                for x2 in range(ell * ell)
-                for a2, b2 in [(x2 % ell, x2 // ell)]
-            ]
-            for x1 in range(ell * ell)
-            for a1, b1 in [(x1 % ell, x1 // ell)]
-        ]
-        g = make_group(table, name=f"C{ell}xC{ell}")
+        g = metacyclic(ell, ell, 1, 0, name=f"C{ell}xC{ell}")
         inertia_set = frozenset(range(ell))
         sigma, tau = ell, 1
     elif model == "s3":

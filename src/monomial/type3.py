@@ -17,6 +17,7 @@ from .errors import (
     CNotAbelianNormal,
     DomainMismatch,
     HNormal,
+    MonomialError,
     NotMaximal,
     TooLarge,
 )
@@ -84,9 +85,12 @@ def is_type_III(g: Group, h: Subgroup) -> TypeIIICertificate:
     qh = qm.project_subgroup(h)
     qc, ell = _check_structure(q, qh)
     c = qm.preimage(qc)
-    assert product_set(h, c) == full_subgroup(g)
-    assert intersection(h, c) == k
-    assert (g.order // h.order) == qc.order
+    if product_set(h, c) != full_subgroup(g):
+        raise CertificateFailed("HC is not the whole group", witness=(h, c))
+    if intersection(h, c) != k:
+        raise CertificateFailed("H and C do not meet in K", witness=(h, c))
+    if g.order // h.order != qc.order:
+        raise CertificateFailed("the index of H is not #C", witness=(h, c))
     return TypeIIICertificate(
         g=g,
         h=h,
@@ -97,6 +101,36 @@ def is_type_III(g: Group, h: Subgroup) -> TypeIIICertificate:
         quotient_map=qm,
         qh=qh,
         qc=qc,
+    )
+
+
+@dataclass(frozen=True)
+class TypeIIIVerdict:
+    """One maximal subgroup H of G certified: the refusal or failure
+    `is_type_III` raised, or the certificate and, when it is not
+    degenerate, its complement census and H^1 check."""
+
+    error: MonomialError | None = None
+    cert: TypeIIICertificate | None = None
+    census_ok: bool | None = None
+    complements: int | None = None
+    h1: bool | None = None
+
+
+def type3_verdict(g: Group, h: Subgroup) -> TypeIIIVerdict:
+    """is_type_III, then complements_census and h1_trivial on G/K."""
+    try:
+        cert = is_type_III(g, h)
+    except (HNormal, NotMaximal, CertificateFailed) as exc:
+        return TypeIIIVerdict(error=exc)
+    if cert.degenerate:
+        return TypeIIIVerdict(cert=cert)
+    census = complements_census(cert)
+    return TypeIIIVerdict(
+        cert=cert,
+        census_ok=census["all_C_conjugate"] and census["count_equals_order_C"],
+        complements=len(census["complements"]),
+        h1=h1_trivial(cert.qh, cert.qc),
     )
 
 

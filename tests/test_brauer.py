@@ -323,3 +323,51 @@ def test_phi_column_is_the_induced_coordinates():
                 assert _phi_column(ambient, cls.char) == tuple(
                     table.induced_coordinates(cls.char, label)
                 ), (name, ambient, cls)
+
+
+# Run with and without `python -O`: R+ elements of different ambients, a
+# pair outside its ambient or below its lower bound, and induction or
+# restriction outside the ambient are typed refusals, not asserts.
+_DOMAIN_REFUSALS = """
+import sys
+from monomial.brauer import (
+    generator, induce_rplus, multiply, one_rplus, pair_class, restrict_rplus, rplus,
+)
+from monomial.catalog import catalog_group
+from monomial.characters import trivial_character
+from monomial.errors import DomainMismatch
+from monomial.groups import full_subgroup, subgroup
+
+s3, c3 = catalog_group("S3"), catalog_group("C3")
+full, a3, c2 = full_subgroup(s3), subgroup(s3, [0, 1, 2]), subgroup(s3, [0, 3])
+x, y = one_rplus(full), one_rplus(full_subgroup(c3))
+print("optimize", sys.flags.optimize)
+for label, call in (
+    ("multiply", lambda: multiply(x, y)),
+    ("add", lambda: x + y),
+    ("pair class", lambda: pair_class(full, trivial_character(full), a3)),
+    ("lower bound", lambda: rplus(full, a3, generator(c2, trivial_character(c2)).coefficients)),
+    ("induce", lambda: induce_rplus(one_rplus(a3), c2)),
+    ("induce across groups", lambda: induce_rplus(y, full)),
+    ("restrict", lambda: restrict_rplus(one_rplus(a3), c2)),
+):
+    try:
+        print(label, "returned", call())
+    except DomainMismatch:
+        print(label, "DomainMismatch")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_domain_refusals_hold_under_optimisation(flags, run_python):
+    out = run_python(flags, _DOMAIN_REFUSALS)
+    assert out[:8] == [
+        f"optimize {len(flags)}",
+        "multiply DomainMismatch",
+        "add DomainMismatch",
+        "pair class DomainMismatch",
+        "lower bound DomainMismatch",
+        "induce DomainMismatch",
+        "induce across groups DomainMismatch",
+        "restrict DomainMismatch",
+    ]

@@ -577,8 +577,11 @@ def test_tame_char_and_root_number():
     with pytest.raises(NotTame):
         tame_char(f_datum, 1, a=2)
     # levels transport through ramification: lpsi_E = e*lpsi - (e-1)
-    e_datum = tame_field(base, 5, 1, 1)
-    assert e_datum.lpsi == 1 and e_datum.d == 4
+    e_datum = tame_field(base, 3, 1, 1)
+    assert e_datum.lpsi == 1 and e_datum.d == 2
+    # e = p = 5 is wild ramification
+    with pytest.raises(NotTame):
+        tame_field(base, 5, 1)
 
 
 def test_functional_equation_sweep():
@@ -768,8 +771,9 @@ def test_refusals_hold_under_optimisation(flags, run_python):
     ]
 
 
-# Fields, extensions and characters outside their domain, zero's inverse
-# and a non-subfield embedding are refused by type, not by an assert.
+# Fields, extensions and characters outside their domain, a wildly
+# ramified extension, zero's inverse and a non-subfield embedding are
+# refused by type, not by an assert.
 _FIELD_REFUSALS = """
 from monomial.errors import MonomialError
 from monomial.tame import finite_field, tame_char, tame_field
@@ -781,6 +785,7 @@ for attempt in (
     lambda: f5.pow(0, -1),
     lambda: tame_char(tame_field(f5, 1, 1), 1, 1, 0),
     lambda: tame_field(f5, 4, 1),
+    lambda: tame_field(f5, 5, 1),
     lambda: finite_field(2, 2).embedding_root(finite_field(3, 2)),
     lambda: finite_field(2, 2).embedding_root(finite_field(2, 3)),
 ):
@@ -795,9 +800,9 @@ print(f5.inv(2), f5.pow(2, -1), f5.pow(0, 3))
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_field_refusals_hold_under_optimisation(flags, run_python):
     out = run_python(flags, _FIELD_REFUSALS)
-    assert out[:8] == [
+    assert out[:9] == [
         "OutOfDomain", "OutOfDomain", "OutOfDomain", "OutOfDomain",
-        "NotAbelianTameCase", "DomainMismatch", "DomainMismatch", "3 3 0",
+        "NotAbelianTameCase", "NotTame", "DomainMismatch", "DomainMismatch", "3 3 0",
     ]
 
 

@@ -17,6 +17,7 @@ from monomial.type3 import (
     complements_census,
     h1_trivial,
     is_type_III,
+    type3_verdict,
 )
 
 
@@ -240,3 +241,56 @@ def test_bad_inputs_are_typed_refusals(flags, run_python):
         "rho domain DomainMismatch ",
         "two N DomainMismatch ",
     ]
+
+
+# Run with and without `python -O`: a complement that the structure check
+# got wrong fails the certificate's own HC = G and H & C = K checks, with
+# (H, C) as the witness.
+_WRONG_COMPLEMENT = """
+import sys
+from monomial import type3
+from monomial.catalog import catalog_group
+from monomial.errors import CertificateFailed
+from monomial.groups import full_subgroup, subgroup, trivial_subgroup
+
+s3 = catalog_group("S3")
+print("optimize", sys.flags.optimize)
+for wrong in (trivial_subgroup, full_subgroup):
+    type3._check_structure = lambda q, qh: (wrong(q), 3)
+    try:
+        print("returned", type3.is_type_III(s3, subgroup(s3, [0, 3])))
+    except CertificateFailed as exc:
+        print(exc, exc.witness)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_wrong_complement_fails_the_certificate(flags, run_python):
+    out = run_python(flags, _WRONG_COMPLEMENT)
+    assert out[:3] == [
+        f"optimize {len(flags)}",
+        "HC is not the whole group (Subgroup(0, 3), Subgroup(0,))",
+        "H and C do not meet in K (Subgroup(0, 3), Subgroup(0, 1, 2, 3, 4, 5))",
+    ]
+
+
+def test_verdict_is_the_certificate_census_and_h1():
+    for name in ("S3", "S4", "A4", "C5", "D4", "F7_6"):
+        g = catalog_group(name)
+        for h in maximal_subgroups(g):
+            v = type3_verdict(g, h)
+            try:
+                cert = is_type_III(g, h)
+            except (HNormal, NotMaximal) as exc:
+                assert type(v.error) is type(exc) and v.cert is None
+                continue
+            assert v.error is None and v.cert == cert
+            if cert.degenerate:
+                assert v.census_ok is v.h1 is v.complements is None
+                continue
+            census = complements_census(cert)
+            assert v.complements == len(census["complements"])
+            assert v.census_ok == (
+                census["all_C_conjugate"] and census["count_equals_order_C"]
+            )
+            assert v.h1 == h1_trivial(cert.qh, cert.qc)
