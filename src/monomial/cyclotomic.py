@@ -3,6 +3,11 @@
 An element is a rational polynomial in zeta_m reduced modulo the m-th
 cyclotomic polynomial, so equality of reduced representations (after
 embedding into a common Q(zeta_lcm)) is equality of complex numbers.
+
+Cyclotomic is a ring with complex conjugation: addition, multiplication
+(also by rationals) and zeta -> zeta^-1, but no division.  The one
+inverse the package needs, of a root value c * p^(k/2), has c * conj(c)
+rational and is c-bar over that norm (tame.RootValue.inverse).
 """
 
 from __future__ import annotations
@@ -85,12 +90,6 @@ def trace_row(m: int) -> tuple[int, ...]:
     )
 
 
-def _poly_trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def _poly_rem(num: list, den: tuple[int, ...]) -> list:
     """Remainder of num modulo the monic integer polynomial den, in the
     coefficients' own type (int or Fraction)."""
@@ -103,7 +102,9 @@ def _poly_rem(num: list, den: tuple[int, ...]) -> list:
             for i, c in enumerate(den):
                 num[shift + i] -= lead * c
         num.pop()
-    return _poly_trim(num)
+    while num and num[-1] == 0:
+        num.pop()
+    return num
 
 
 def _poly_mul(a: list, b: list) -> list:
@@ -117,24 +118,6 @@ def _poly_mul(a: list, b: list) -> list:
                 if y:
                     out[i + j] += x * y
     return out
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    """Quotient and remainder over Q[x]; b need not be monic."""
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while True:
-        _poly_trim(a)
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        coef = a[-1] * inv_lead
-        q[shift] = coef
-        for i, c in enumerate(b):
-            a[shift + i] -= coef * c
-        a.pop()
-    return _poly_trim(q), _poly_trim(a)
 
 
 class Cyclotomic:
@@ -236,53 +219,6 @@ class Cyclotomic:
         return Cyclotomic._from_numerators(a.m, _poly_mul(na, nb), da * db)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against the (irreducible) cyclotomic polynomial."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic")
-        phi = [Fraction(c) for c in _cyclo_coeffs(self.m)]
-        # extended gcd of self.coeffs and phi over Q[x]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [], [Fraction(1)]  # coefficients of self.coeffs
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            qs1 = _poly_mul(q, s1)
-            n = max(len(s0), len(qs1))
-            s = _poly_trim(
-                [
-                    (s0[i] if i < len(s0) else Fraction(0))
-                    - (qs1[i] if i < len(qs1) else Fraction(0))
-                    for i in range(n)
-                ]
-            )
-            r0, r1 = r1, r
-            s0, s1 = s1, s
-        # r0 = gcd (a nonzero constant since phi is irreducible)
-        if len(r0) != 1:
-            raise ArithmeticError("gcd with cyclotomic polynomial not constant")
-        inv_gcd = 1 / r0[0]
-        return Cyclotomic(self.m, [c * inv_gcd for c in s0])
-
-    def __truediv__(self, other):
-        other = _coerce(other, self.m)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other, self.m) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Cyclotomic.from_rational(1, self.m)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation zeta -> zeta^{-1}."""
@@ -452,8 +388,8 @@ def sqrt_prime(p: int) -> Cyclotomic:
         g = g + sign * Cyclotomic.root_of_unity(p, x)
     if p % 4 == 1:
         return g
-    i_unit = Cyclotomic.root_of_unity(4, 1)
-    return g.promote(lcm(p, 4)) / i_unit
+    # g / i = g * zeta_4^3
+    return g.promote(lcm(p, 4)) * Cyclotomic.root_of_unity(4, 3)
 
 
 def sqrt_prime_power(p: int, f: int) -> Cyclotomic:

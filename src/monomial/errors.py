@@ -100,7 +100,8 @@ class ConditionsViolated(MonomialError):
 class OutOfDomain(MonomialError):
     """A tame construction was given an argument outside its domain: a
     field F_{p^f} with p not prime or f < 1, a power of 0 with exponent
-    <= 0, or a root of unity of order below 1."""
+    <= 0, a root of unity of order below 1, or the inverse of a root value
+    c * p^(k/2) whose c is zero or has a non-rational norm c * conj(c)."""
 
 
 class NotTame(MonomialError):
@@ -117,7 +118,8 @@ class DegenerateCase(MonomialError):
 
 
 class UnsupportedModel(MonomialError):
-    """galois_delta asked for a model outside the supported list."""
+    """galois_delta asked for a model outside the supported list, or a
+    Galois pair value asked of a subgroup that meets inertia partially."""
 
 
 class PrimeMismatch(MonomialError):

@@ -265,14 +265,13 @@ def metacyclic(e: int, f: int, k: int, r: int, name: str | None = None) -> Group
     return make_group(table, name=name)
 
 
-def make_group(table, name: str | None = None, check: bool = True) -> Group:
+def make_group(table, name: str | None = None) -> Group:
     table = tuple(tuple(row) for row in table)
-    if len(table) > MAX_ORDER:
-        raise ParseError(f"group order {len(table)} exceeds cap {MAX_ORDER}")
-    if check:
-        _validate_table(table)
+    if not 1 <= len(table) <= MAX_ORDER:
+        raise ParseError(f"group order {len(table)} is outside 1..{MAX_ORDER}")
+    _validate_table(table)
     g = Group(table, name=name)
-    if check and not is_solvable(g):
+    if not is_solvable(g):
         raise NotSolvable(f"group {name or len(table)} is not solvable")
     return g
 

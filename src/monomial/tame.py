@@ -315,7 +315,14 @@ class RootValue:
         return root_value(self.p, self.c * other.c, self.k + other.k)
 
     def inverse(self):
-        return root_value(self.p, self.c.inverse(), -self.k)
+        """conj(c) / N * p^(-k/2) with N = c * conj(c).  A root value is a
+        product of roots of unity, Gauss sums and sqrt(p), so N is rational;
+        any other c is refused."""
+        bar = self.c.conjugate()
+        norm = self.c * bar
+        if norm.is_zero() or len(norm.coeffs) > 1:
+            raise OutOfDomain(f"{self.c!r} is zero or has a non-rational norm")
+        return root_value(self.p, bar * (1 / norm.coeffs[0]), -self.k)
 
     def __repr__(self):
         return f"RootValue({self.c.to_complex():.6g} * {self.p}^({self.k}/2))"
@@ -677,6 +684,13 @@ def _embedding_data(small: FiniteField, big: FiniteField):
     return root, back
 
 
+def _norm_log(small: FiniteField, big: FiniteField) -> int:
+    """m0 with N(g_big) = g_small^m0, N the norm from big to small
+    (small.q > 2): the residue norm is x -> x^((q_big - 1)/(q_small - 1))."""
+    _, back = _embedding_data(small, big)
+    return small.log[back[big.exp[(big.q - 1) // (small.q - 1)]]]
+
+
 def _swept_characters(field: TameField):
     """Every residue part of `field`'s characters, each with the uniformizer
     values 1 and a primitive (q-1)-th root of unity (zeta_4 when q = 2)."""
@@ -706,9 +720,7 @@ def norm_transport(K: TameField, chi: TameChar) -> TameChar:
         big = K.residue
         if q > 2:
             idx = (big.q - 1) // (q - 1)
-            _, back = _embedding_data(base, big)
-            m0 = base.log[back[big.exp[idx % (big.q - 1)]]]
-            j_k = (chi.j * m0 * idx) % (big.q - 1)
+            j_k = (chi.j * _norm_log(base, big) * idx) % (big.q - 1)
         else:
             j_k = 0
         return tame_char(K, j_k, chi.z_num * ell, chi.z_den)
@@ -958,6 +970,12 @@ def functional_equation(chi: TameChar) -> bool:
 # Supported shapes: unramified cyclic; Kummer cyclic and bicyclic
 # (l | q - 1); the Frobenius-group shape (l not dividing q - 1, with
 # inertia of order l and unramified part of order m = ord(q mod l)).
+# When l | q - 1, tau is the image of F's residue generator g_F in
+# inertia, and the fixed field E of H reads chi through Art_E = Art_F o N:
+# on units E's own generator g_E goes to tau^m0 with N(g_E) = g_F^m0, so
+# m0 scales chi's residue part.  The s3 shape (l not dividing q - 1) has
+# no such tau over F and reads chi(tau) through g_E.  A subgroup that
+# meets inertia partially is refused (UnsupportedModel).
 
 
 def _char_root(chi, x: int) -> tuple[int, int]:
@@ -989,12 +1007,18 @@ def _galois_pair_value(
         assert len(frobs) == 1
         num, den = _char_root(chi, frobs[0])
         return root_number(tame_char(field_e, 0, num, den))
-    assert e_ke == e_total, "inertia meets H in a proper nontrivial part"
+    if e_ke != e_total:
+        raise UnsupportedModel(
+            f"inertia of order {e_total} meets H in a part of order {e_ke}"
+        )
     ell = e_total
     # residue part from chi on inertia: chi(tau) = zeta_l^s
     num_t, den_t = _char_root(chi, tau)
     assert (num_t * ell) % den_t == 0, "chi is not order-l on inertia"
     s = num_t * ell // den_t
+    if f_e > 1 and (base.q - 1) % ell == 0:
+        # Art_E = Art_F o N on units, so E's generator g_E goes to tau^m0
+        s *= _norm_log(base, field_e.residue)
     j = s * (q_e - 1) // ell if q_e > 2 else 0
     t0 = ((q_e - 1) // 2) % 2 if (ell == 2 and q_e % 2) else 0
     art_pi = g.mul(g.power(sigma, f_e), g.power(tau, t0))

@@ -42,6 +42,8 @@ def test_load_rejects_malformed():
         load_group("")
     with pytest.raises(ParseError):
         load_group("2\n0 1\n")
+    with pytest.raises(ParseError):
+        make_group([])  # the empty table: order 0
     # broken associativity / identity
     with pytest.raises(NotAGroup):
         load_group("2\n0 1\n1 1\n")

@@ -736,16 +736,28 @@ def test_tame_failures_are_verdicts(flags, run_python):
     ]
 
 
-# Mixed primes, int64 overflow, sqrt(p) outside Z[zeta_M] and characters
-# of different fields are refused by type, not by an assert.
+# Mixed primes, int64 overflow, sqrt(p) outside Z[zeta_M], characters of
+# different fields, the inverse of a root value c * p^(k/2) with c = 0 or
+# with a non-rational norm c * conj(c), and a Galois pair whose subgroup
+# meets inertia partially (H = {0, 2} in C4 as inertia) are refused by
+# type, not by an assert.
 _REFUSALS = """
-from monomial.errors import DomainMismatch, ModulusMismatch, PrimeMismatch, TooLarge
+from monomial.characters import characters_of
+from monomial.cyclotomic import Cyclotomic
+from monomial.errors import (
+    DomainMismatch, ModulusMismatch, OutOfDomain, PrimeMismatch, TooLarge,
+    UnsupportedModel,
+)
+from monomial.groups import metacyclic, subgroup
 from monomial.tame import (
-    CycVec, _sqrt_vec, finite_field, norm_transport, root_value_one, tame_char,
-    tame_field,
+    CycVec, _galois_pair_value, _sqrt_vec, finite_field, norm_transport,
+    root_value, root_value_one, tame_char, tame_field,
 )
 
 f5, f7 = tame_field(finite_field(5, 1), 1, 1), tame_field(finite_field(7, 1), 1, 1)
+c4 = metacyclic(4, 1, 1, 0)
+h = subgroup(c4, [0, 2])
+chi = next(x for x in characters_of(h) if not x.is_trivial())
 for attempt in (
     lambda: root_value_one(2) == root_value_one(3),
     lambda: root_value_one(2) * root_value_one(3),
@@ -754,10 +766,16 @@ for attempt in (
     lambda: _sqrt_vec(10, 3),
     lambda: tame_char(f5, 1).mul(tame_char(f7, 1)),
     lambda: norm_transport(tame_field(finite_field(5, 1), 2, 1), tame_char(f7, 1)),
+    lambda: root_value(5, Cyclotomic.zero(), 0).inverse(),
+    lambda: root_value(5, 1 + Cyclotomic.root_of_unity(5), 1).inverse(),
+    lambda: _galois_pair_value(c4, frozenset(range(4)), 0, 1, finite_field(5, 1), 0, h, chi),
 ):
     try:
         print(attempt())
-    except (DomainMismatch, ModulusMismatch, PrimeMismatch, TooLarge) as exc:
+    except (
+        DomainMismatch, ModulusMismatch, OutOfDomain, PrimeMismatch, TooLarge,
+        UnsupportedModel,
+    ) as exc:
         print(type(exc).__name__)
 """
 
@@ -765,9 +783,10 @@ for attempt in (
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_refusals_hold_under_optimisation(flags, run_python):
     out = run_python(flags, _REFUSALS)
-    assert out[:7] == [
+    assert out[:10] == [
         "PrimeMismatch", "PrimeMismatch", "TooLarge", "TooLarge",
         "ModulusMismatch", "DomainMismatch", "DomainMismatch",
+        "OutOfDomain", "OutOfDomain", "UnsupportedModel",
     ]
 
 
@@ -976,3 +995,31 @@ def test_galois_delta_refusals():
         galois_delta("nonsense")
     with pytest.raises(UnsupportedModel):
         galois_delta("unramified", p=2, f=1)  # degree missing
+
+
+def test_root_value_inverse_by_conjugation():
+    # v * v^-1 = 1 for every Delta value of the four tame_galois_* golden
+    # models and for every product of two of them
+    for model, kw in (
+        ("kummer", dict(p=7, f=1, ell=3)),
+        ("bikummer", dict(p=7, f=1, ell=3)),
+        ("unramified", dict(p=2, f=1, degree=3)),
+        ("s3", dict(p=2, f=1, ell=3)),
+    ):
+        values = list(galois_delta(model, **kw).values.values())
+        one = root_value_one(kw["p"])
+        products = [a * b for i, a in enumerate(values) for b in values[i:]]
+        for v in values + products:
+            assert v * v.inverse() == one, (model, v)
+
+
+@pytest.mark.parametrize(
+    "p, f, ell, lpsi",
+    [(13, 1, 3, 0), (2, 2, 3, 0), (2, 2, 3, 1), (7, 1, 3, 1)]
+    + [(p, f, 2, lpsi) for p, f in ((5, 1), (3, 2), (11, 1), (17, 1)) for lpsi in (0, 1)],
+)
+def test_bikummer_models_meet_the_conditions(p, f, ell, lpsi):
+    # Art_E = Art_F o N on units: at q = 13 reading chi(tau) through E's own
+    # generator broke condition I on six pairs
+    d = galois_delta("bikummer", p=p, f=f, ell=ell, lpsi=lpsi)
+    assert check_conditions(d.ambient.parent, d) == []
