@@ -10,12 +10,20 @@ kernel check are built once per key and shared with `relations`.  When
 the identities hold, the lambda recursion below produces a well-defined
 multiplicative extension to arbitrary virtual characters, certified on
 the kernel generators.
+
+Delta and lambda serve the subgroups of one group, the Delta function's,
+so their lookups are keyed by element tuples: Delta values by (H, chi's
+domain, modulus and exponents), lambda values by (U, N, ambient,
+rep_choice).  The layer-independence of lambda is checked once per
+top-level value.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 from .brauer import (
     PairClass,
@@ -38,13 +46,13 @@ from .errors import (
     ConditionsViolated,
     DomainMismatch,
     MissingValue,
+    NotNormal,
 )
 from .groups import (
     Group,
     Subgroup,
     all_subgroups,
     commutator_subgroup,
-    conjugate_subgroup,
     full_subgroup,
     is_normal,
     quotient,
@@ -106,6 +114,8 @@ class FreeAbelianGroup(ValueGroup):
         return ((name, 1),)
 
     def mul(self, a, b):
+        if not a or not b:
+            return a or b
         acc = dict(a)
         for sym, e in b:
             acc[sym] = acc.get(sym, 0) + e
@@ -126,10 +136,21 @@ class FreeAbelianGroup(ValueGroup):
 
 @dataclass(frozen=True)
 class DeltaFunction:
+    """Delta as a read-only table PairClass -> value.
+
+    `value(h, chi)` on subgroups of the ambient's own group object reads a
+    table keyed by element and exponent tuples, filled through `pair_class`
+    on first lookup; any other input takes the `pair_class` path each time,
+    so refusals and MissingValue are those of `value_of_class`."""
+
     ambient: Subgroup  # the full subgroup of the group
     lower: Subgroup
     group: ValueGroup = field(compare=False)
-    values: dict = field(compare=False)  # PairClass -> value
+    values: Mapping = field(compare=False)  # PairClass -> value
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
+        object.__setattr__(self, "_by_key", {})
 
     def value_of_class(self, cls: PairClass):
         if cls not in self.values:
@@ -137,7 +158,16 @@ class DeltaFunction:
         return self.values[cls]
 
     def value(self, h: Subgroup, chi: Character):
-        return self.value_of_class(pair_class(h, chi, self.ambient))
+        parent = self.ambient.parent
+        if h.parent is not parent or chi.domain.parent is not parent:
+            return self.value_of_class(pair_class(h, chi, self.ambient))
+        key = (h.elements, chi.domain.elements, chi.modulus, chi.exponents)
+        try:
+            return self._by_key[key]
+        except KeyError:
+            out = self.value_of_class(pair_class(h, chi, self.ambient))
+            self._by_key[key] = out
+            return out
 
 
 def delta_function(
@@ -261,39 +291,59 @@ def check_conditions(g: Group, delta: DeltaFunction) -> list:
 class LambdaEngine:
     """Computes lambda_U^(ambient) relative to N by structural recursion:
     strip off a minimal (relatively) abelian normal layer above N until
-    U contains it, shrinking the quotient at each step."""
+    U contains it, shrinking the quotient at each step.
+
+    One engine serves the subgroups of one group, the Delta function's
+    (`delta.ambient.parent`), so its memo is keyed by element tuples:
+    (U, N, ambient, rep_choice).  When N has several minimal layers in the
+    ambient, each top-level value (`value`, or `_value` with top=True) is
+    checked once against every other layer choice, whether or not an
+    inner call computed it first."""
 
     def __init__(self, delta: DeltaFunction, check_independence: bool = True):
         self.delta = delta
+        self.parent = delta.ambient.parent
         self.check_independence = check_independence
         self._memo: dict = {}
+        self._checked: set = set()
+
+    def _require_own(self, *subs: Subgroup) -> None:
+        for s in subs:
+            if s.parent != self.parent:
+                raise DomainMismatch(f"{s} is not in the group of Delta")
 
     def value(self, u: Subgroup, n: Subgroup, ambient: Subgroup | None = None):
         if ambient is None:
             ambient = self.delta.ambient
+        self._require_own(u, n, ambient)
         return self._value(u, n, ambient, "min", top=True)
 
     def _value(self, u, n, ambient, rep_choice, top=False):
-        key = (u, n, ambient, rep_choice)
-        if key in self._memo:
-            return self._memo[key]
-        assert ambient.contains_subgroup(u) and u.contains_subgroup(n)
-        vg = self.delta.group
-        if u.order == ambient.order:
-            out = vg.one()
-        else:
-            layers = _minimal_abelian_layers(ambient, n)
-            assert layers, "no abelian layer above N"
-            out = self._step(u, n, ambient, rep_choice, layers[0])
-            if self.check_independence and top and len(layers) > 1:
-                for other in layers[1:]:
-                    alt = self._step(u, n, ambient, rep_choice, other)
-                    if not vg.eq(alt, out):
-                        raise ConditionsViolated(
-                            "lambda depends on the abelian layer choice",
-                            witness=(u, n, other),
-                        )
-        self._memo[key] = out
+        key = (u.elements, n.elements, ambient.elements, rep_choice)
+        if key not in self._memo:
+            if not (ambient.contains_subgroup(u) and u.contains_subgroup(n)):
+                raise DomainMismatch(f"lambda needs {n} <= {u} <= {ambient}")
+            if u.order == ambient.order:
+                out = self.delta.group.one()
+            else:
+                layer = _layers(ambient, n)[0]
+                out = self._step(u, n, ambient, rep_choice, layer)
+            self._memo[key] = out
+        out = self._memo[key]
+        if (
+            top
+            and self.check_independence
+            and u.order < ambient.order
+            and key not in self._checked
+        ):
+            for other in _layers(ambient, n)[1:]:
+                alt = self._step(u, n, ambient, rep_choice, other)
+                if not self.delta.group.eq(alt, out):
+                    raise ConditionsViolated(
+                        "lambda depends on the abelian layer choice",
+                        witness=(u, n, other),
+                    )
+            self._checked.add(key)
         return out
 
     def _step(self, u, n, ambient, rep_choice, m):
@@ -315,6 +365,16 @@ class LambdaEngine:
         return vg.mul(
             self.value(u, n), vg.pow(vg.inv(self.value(h, n)), index)
         )
+
+
+def _layers(ambient: Subgroup, n: Subgroup) -> tuple:
+    layers = _minimal_abelian_layers(ambient, n)
+    if not layers:
+        raise NotNormal(
+            f"no abelian normal layer above {n} in {ambient}: N is not "
+            "normal in it (or the quotient is not solvable)"
+        )
+    return layers
 
 
 @lru_cache(maxsize=None)
@@ -347,63 +407,69 @@ def _minimal_abelian_layers(ambient: Subgroup, n: Subgroup) -> tuple:
 def verify_tower(delta: DeltaFunction, g: Group, n: Subgroup) -> list:
     """The tower identity on all chains N <= U' <= U <= A <= Omega, plus
     representative-choice independence, conjugation invariance, inflation
-    consistency, and the abelian product formula."""
+    consistency, and the abelian product formula.
+
+    Each lambda_{U'}^A is computed once per containing pair, and the
+    conjugation law computes one lambda per distinct conjugate of U."""
+    full = full_subgroup(g)
     engine = LambdaEngine(delta)
+    engine._require_own(full, n)
     vg = delta.group
     violations = []
-    full = full_subgroup(g)
     subs = [s for s in all_subgroups(g) if s.contains_subgroup(n)]
-    for a in subs:
-        for u in subs:
-            if not a.contains_subgroup(u):
-                continue
-            for uprime in subs:
-                if not u.contains_subgroup(uprime):
-                    continue
-                lhs = engine._value(uprime, n, a, "min")
-                step = engine._value(uprime, n, u, "min")
-                top = engine._value(u, n, a, "min")
-                rhs = vg.mul(step, vg.pow(top, u.order // uprime.order))
-                if not vg.eq(lhs, rhs):
-                    violations.append(
-                        {"law": "tower", "chain": (uprime, u, a)}
-                    )
-    for u in subs:
+    below = [
+        [j for j, t in enumerate(subs) if s.contains_subgroup(t)]
+        for s in subs
+    ]
+    normal = {i for i, s in enumerate(subs) if is_normal(g, s)}
+    lam = {
+        (i, j): engine._value(subs[j], n, subs[i], "min")
+        for i in range(len(subs))
+        for j in below[i]
+    }
+    for a in range(len(subs)):
+        for u in below[a]:
+            top = lam[a, u]
+            for uprime in below[u]:
+                index = subs[u].order // subs[uprime].order
+                rhs = vg.mul(lam[u, uprime], vg.pow(top, index))
+                if not vg.eq(lam[a, uprime], rhs):
+                    chain = (subs[uprime], subs[u], subs[a])
+                    violations.append({"law": "tower", "chain": chain})
+    derived = commutator_subgroup(full, full).element_set
+    for i, u in enumerate(subs):
         # representative-choice independence
         if not vg.eq(
             engine._value(u, n, full, "min"), engine._value(u, n, full, "max")
         ):
             violations.append({"law": "rep-independence", "U": u})
-        # conjugation invariance
-        for x in range(g.order):
-            moved = conjugate_subgroup(u, x)
-            if not vg.eq(engine.value(moved, n), engine.value(u, n)):
+        # conjugation invariance: one lambda per distinct conjugate of U
+        base = engine._value(u, n, full, "min", top=True)
+        by_conjugate = {}
+        for x, row in enumerate(g.conj_table):
+            moved = tuple(sorted([row[y] for y in u.elements]))
+            if moved not in by_conjugate:
+                by_conjugate[moved] = engine._value(
+                    Subgroup(g, moved), n, full, "min", top=True
+                )
+            if not vg.eq(by_conjugate[moved], base):
                 violations.append({"law": "conjugation", "U": u, "g": x})
         # inflation: relative to any larger normal N' <= U the value agrees
-        for nprime in subs:
-            if (
-                u.contains_subgroup(nprime)
-                and nprime.contains_subgroup(n)
-                and is_normal(g, nprime)
+        for j in below[i]:
+            if j in normal and not vg.eq(
+                engine._value(u, subs[j], full, "min", top=True), base
             ):
-                if not vg.eq(engine.value(u, nprime), engine.value(u, n)):
-                    violations.append(
-                        {"law": "inflation", "U": u, "Nprime": nprime}
-                    )
+                violations.append(
+                    {"law": "inflation", "U": u, "Nprime": subs[j]}
+                )
         # abelian product formula
-        if is_normal(g, u) and _abelian_quotient(g, u):
+        if i in normal and derived <= u.element_set:
             expected = vg.one()
             for chi in characters_trivial_on(full, u):
                 expected = vg.mul(expected, delta.value(full, chi))
-            if not vg.eq(engine.value(u, n), expected):
+            if not vg.eq(base, expected):
                 violations.append({"law": "abelian-product", "U": u})
     return violations
-
-
-def _abelian_quotient(g: Group, u: Subgroup) -> bool:
-    return commutator_subgroup(
-        full_subgroup(g), full_subgroup(g)
-    ).element_set <= u.element_set
 
 
 # ---------------------------------------------------------------------------

@@ -91,29 +91,34 @@ def _glued_reps(u: Subgroup, m: Subgroup, rep_choice: str) -> tuple:
     rep_choice), U_mu its stabilizer in U, and mu' glues the trivial
     character of U_mu to mu.  Built once per key, for the type III
     configurations and the lambda recursion alike."""
-    chars = characters_trivial_on(m, intersection(u, m))
-    char_set = set(chars)
+    chars = {
+        mu.exponents: mu
+        for mu in characters_trivial_on(m, intersection(u, m))
+    }
+    # the conjugate of mu by x has, at each y of M, mu's exponent at
+    # x^-1 y x: orbits and stabilisers are read on exponent tuples
+    conj, inv, pos = u.parent.conj_table, u.parent.inverses, m.position
+    source = {
+        x: [pos[conj[inv[x]][y]] for y in m.elements] for x in u.elements
+    }
+
+    def moved(exps, x):
+        return tuple([exps[i] for i in source[x]])
+
     seen = set()
     out = []
-    for mu in chars:
-        if mu in seen:
+    for exps in chars:
+        if exps in seen:
             continue
-        orbit = {conjugate_character(mu, x) for x in u.elements}
-        assert orbit <= char_set
+        orbit = {moved(exps, x) for x in u.elements}
+        assert orbit <= chars.keys()
         seen.update(orbit)
-        pick = (min if rep_choice == "min" else max)(
-            orbit, key=lambda m: m.exponents
-        )
+        pick = (min if rep_choice == "min" else max)(orbit)
         stab = subgroup(
-            u.parent,
-            [x for x in u.elements if conjugate_character(pick, x) == pick],
+            u.parent, [x for x in u.elements if moved(pick, x) == pick]
         )
-        out.append(
-            (
-                product_set(stab, m),
-                glued_character(stab, trivial_character(stab), m, pick),
-            )
-        )
+        glued = glued_character(stab, trivial_character(stab), m, chars[pick])
+        out.append((product_set(stab, m), glued))
     return tuple(out)
 
 

@@ -1,12 +1,22 @@
 from collections import Counter
+from functools import lru_cache, partial
 
 import pytest
 
-from monomial.brauer import dim0_presentation, pair_class, pair_classes
+from monomial import extend as extend_module
+from monomial import relations
+from monomial.brauer import (
+    dim0_presentation,
+    glued_character,
+    pair_class,
+    pair_classes,
+)
 from monomial.catalog import catalog_group, catalog_names
 from monomial.characters import (
     character_class_function,
     characters_of,
+    characters_trivial_on,
+    conjugate_character,
     induce,
     irreducible_characters,
     trivial_character,
@@ -16,6 +26,7 @@ from monomial.extend import (
     DeltaFunction,
     FreeAbelianGroup,
     LambdaEngine,
+    _minimal_abelian_layers,
     _violations,
     check_condition_I,
     check_condition_II,
@@ -30,9 +41,15 @@ from monomial.extend import (
     verify_tower,
 )
 from monomial.groups import (
+    all_subgroups,
     center,
+    commutator_subgroup,
+    conjugate_subgroup,
     derived_subgroup,
     full_subgroup,
+    intersection,
+    is_normal,
+    product_set,
     subgroup,
     trivial_subgroup,
 )
@@ -63,6 +80,9 @@ def test_delta_function_basics():
     cls = pair_class(full, trivial_character(full), full)
     with pytest.raises(ConditionsViolated):
         delta_function(c4, triv, vg, {cls: vg.symbol("x")})
+    # the table is read-only, so the lookups keyed by tuples cannot go stale
+    with pytest.raises(TypeError):
+        d.values[cls] = vg.symbol("x")
     # missing values are reported, not defaulted
     partial = DeltaFunction(ambient=full, lower=triv, group=vg, values={})
     with pytest.raises(MissingValue):
@@ -266,3 +286,254 @@ def test_conditions_match_relations_on_the_catalog():
     # both directions are exercised for every family
     for kind in ("I", "II", "III"):
         assert verdicts[kind, True, True] and verdicts[kind, False, True]
+
+
+def test_layer_independence_is_checked_after_a_memo_hit(monkeypatch):
+    # C6 at N trivial has the layers C2 and C3; a _step that disagrees
+    # between them must be refused at the first top-level call, even when
+    # an inner call has already filled the memo for that key
+    c6 = catalog_group("C6")
+    triv, full = trivial_subgroup(c6), full_subgroup(c6)
+    assert [m.order for m in _minimal_abelian_layers(full, triv)] == [2, 3]
+    vg = FreeAbelianGroup()
+    monkeypatch.setattr(
+        LambdaEngine,
+        "_step",
+        lambda self, u, n, ambient, rep, m: vg.symbol(f"M{m.order}"),
+    )
+    engine = LambdaEngine(constant_delta(c6, triv, vg))
+    assert engine._value(triv, triv, full, "min") == vg.symbol("M2")
+    with pytest.raises(ConditionsViolated):
+        engine.value(triv, triv)
+
+
+# Run with and without `python -O`: lambda outside its ambient, subgroups
+# of another group, and N without an abelian layer (not normal) are typed
+# refusals, not asserts.
+_ENGINE_REFUSALS = """
+import sys
+from monomial.catalog import catalog_group
+from monomial.errors import DomainMismatch, NotNormal
+from monomial.extend import FreeAbelianGroup, LambdaEngine, constant_delta, verify_tower
+from monomial.groups import full_subgroup, subgroup, trivial_subgroup
+
+s3, c3 = catalog_group("S3"), catalog_group("C3")
+full, a3, c2 = full_subgroup(s3), subgroup(s3, [0, 1, 2]), subgroup(s3, [0, 3])
+triv, other = trivial_subgroup(s3), trivial_subgroup(c3)
+delta = constant_delta(s3, triv, FreeAbelianGroup())
+engine = LambdaEngine(delta)
+print("optimize", sys.flags.optimize)
+for label, call in (
+    ("outside ambient", lambda: engine._value(full, triv, a3, "min")),
+    ("foreign value", lambda: engine.value(other, other)),
+    ("foreign value_rel", lambda: engine.value_rel(triv, full, other)),
+    ("foreign tower", lambda: verify_tower(delta, c3, other)),
+    ("not normal", lambda: engine.value(c2, c2)),
+):
+    try:
+        print(label, "returned", call())
+    except (DomainMismatch, NotNormal) as exc:
+        print(label, type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_engine_refusals_hold_under_optimisation(flags, run_python):
+    out = run_python(flags, _ENGINE_REFUSALS)
+    assert out[:6] == [
+        f"optimize {len(flags)}",
+        "outside ambient DomainMismatch",
+        "foreign value DomainMismatch",
+        "foreign value_rel DomainMismatch",
+        "foreign tower DomainMismatch",
+        "not normal NotNormal",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# oracle: the lambda engine and tower check keyed by Subgroup objects, and
+# the glued representatives found on Character orbits
+
+
+@lru_cache(maxsize=None)
+def _oracle_glued_reps(u, m, rep_choice):
+    chars = characters_trivial_on(m, intersection(u, m))
+    seen, out = set(), []
+    for mu in chars:
+        if mu in seen:
+            continue
+        orbit = {conjugate_character(mu, x) for x in u.elements}
+        seen.update(orbit)
+        pick = (min if rep_choice == "min" else max)(
+            orbit, key=lambda c: c.exponents
+        )
+        stab = subgroup(
+            u.parent,
+            [x for x in u.elements if conjugate_character(pick, x) == pick],
+        )
+        glued = glued_character(stab, trivial_character(stab), m, pick)
+        out.append((product_set(stab, m), glued))
+    return tuple(out)
+
+
+class _OracleEngine:
+    """Memo keyed by (U, N, ambient, rep_choice) Subgroup objects; Delta
+    read through `lookup`.  The layer check runs on every top-level
+    call."""
+
+    def __init__(self, delta, lookup, check_independence):
+        self.delta, self.lookup = delta, lookup
+        self.check_independence = check_independence
+        self._memo = {}
+
+    def value(self, u, n):
+        return self._value(u, n, self.delta.ambient, "min", top=True)
+
+    def _value(self, u, n, ambient, rep_choice, top=False):
+        key = (u, n, ambient, rep_choice)
+        if key not in self._memo:
+            if u.order == ambient.order:
+                out = self.delta.group.one()
+            else:
+                m = _minimal_abelian_layers(ambient, n)[0]
+                out = self._step(u, n, ambient, rep_choice, m)
+            self._memo[key] = out
+        out = self._memo[key]
+        if top and self.check_independence and u.order != ambient.order:
+            for other in _minimal_abelian_layers(ambient, n)[1:]:
+                if self._step(u, n, ambient, rep_choice, other) != out:
+                    raise ConditionsViolated(
+                        "lambda depends on the abelian layer choice",
+                        witness=(u, n, other),
+                    )
+        return out
+
+    def _step(self, u, n, ambient, rep_choice, m):
+        vg = self.delta.group
+        if u.contains_subgroup(m):
+            return self._value(u, m, ambient, rep_choice)
+        out = vg.one()
+        for prod, mu_ext in _oracle_glued_reps(u, m, rep_choice):
+            term = vg.mul(
+                self.lookup(prod, mu_ext),
+                self._value(prod, m, ambient, rep_choice),
+            )
+            out = vg.mul(out, term)
+        return out
+
+
+def _oracle_verify_tower(delta, g, n, lookup, check_independence):
+    engine = _OracleEngine(delta, lookup, check_independence)
+    vg = delta.group
+    violations = []
+    full = full_subgroup(g)
+    subs = [s for s in all_subgroups(g) if s.contains_subgroup(n)]
+    for a in subs:
+        for u in subs:
+            if not a.contains_subgroup(u):
+                continue
+            for uprime in subs:
+                if not u.contains_subgroup(uprime):
+                    continue
+                lhs = engine._value(uprime, n, a, "min")
+                step = engine._value(uprime, n, u, "min")
+                top = engine._value(u, n, a, "min")
+                rhs = vg.mul(step, vg.pow(top, u.order // uprime.order))
+                if not vg.eq(lhs, rhs):
+                    violations.append(
+                        {"law": "tower", "chain": (uprime, u, a)}
+                    )
+    derived = commutator_subgroup(full, full).element_set
+    for u in subs:
+        if not vg.eq(
+            engine._value(u, n, full, "min"), engine._value(u, n, full, "max")
+        ):
+            violations.append({"law": "rep-independence", "U": u})
+        for x in range(g.order):
+            moved = conjugate_subgroup(u, x)
+            if not vg.eq(engine.value(moved, n), engine.value(u, n)):
+                violations.append({"law": "conjugation", "U": u, "g": x})
+        for nprime in subs:
+            if (
+                u.contains_subgroup(nprime)
+                and nprime.contains_subgroup(n)
+                and is_normal(g, nprime)
+            ):
+                if not vg.eq(engine.value(u, nprime), engine.value(u, n)):
+                    violations.append(
+                        {"law": "inflation", "U": u, "Nprime": nprime}
+                    )
+        if is_normal(g, u) and derived <= u.element_set:
+            expected = vg.one()
+            for chi in characters_trivial_on(full, u):
+                expected = vg.mul(expected, lookup(full, chi))
+            if not vg.eq(engine.value(u, n), expected):
+                violations.append({"law": "abelian-product", "U": u})
+    return violations
+
+
+class _RawDelta(DeltaFunction):
+    """A free symbol per raw pair (H, chi), not per pair class: it breaks
+    conjugation and representative-choice independence, so those laws
+    report violations too."""
+
+    def value(self, h, chi):
+        if chi.is_trivial():
+            return self.group.one()
+        return self.group.symbol(f"{h.elements}:{chi.exponents}")
+
+
+def _class_value(delta, h, chi):
+    return delta.value_of_class(pair_class(h, chi, delta.ambient))
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ConditionsViolated as exc:
+        return ("refused", exc.witness)
+
+
+def test_tower_engine_matches_the_object_keyed_oracle(monkeypatch):
+    requested = set()
+
+    def recording(u, m, rep_choice):
+        requested.add((u, m, rep_choice))
+        return relations._glued_reps(u, m, rep_choice)
+
+    monkeypatch.setattr(extend_module, "_glued_reps", recording)
+    unchecked = partial(LambdaEngine, check_independence=False)
+    laws = Counter()
+    for name in catalog_names():
+        g = catalog_group(name)
+        full = full_subgroup(g)
+        lowers = {f(g) for f in (trivial_subgroup, center, derived_subgroup)}
+        for n in lowers:
+            for delta in (
+                constant_delta(g, n, FreeAbelianGroup()),
+                generic_delta(g, n),
+                _RawDelta(full, n, FreeAbelianGroup(), {}),
+            ):
+                if isinstance(delta, _RawDelta):
+                    lookup = delta.value
+                else:
+                    lookup = partial(_class_value, delta)
+                # the layer check on: the same list or the same refusal
+                got = _outcome(lambda: verify_tower(delta, g, n))
+                want = _outcome(
+                    lambda: _oracle_verify_tower(delta, g, n, lookup, True)
+                )
+                assert got == want, (name, n)
+                # the layer check off: every law, violation for violation
+                with monkeypatch.context() as patch:
+                    patch.setattr(extend_module, "LambdaEngine", unchecked)
+                    got = verify_tower(delta, g, n)
+                want = _oracle_verify_tower(delta, g, n, lookup, False)
+                assert got == want, (name, n)
+                laws.update(v["law"] for v in got)
+    for key in requested:
+        assert relations._glued_reps(*key) == _oracle_glued_reps(*key), key
+    # the raw Delta makes the conjugation and rep-independence laws fail
+    for law in ("tower", "rep-independence", "conjugation", "abelian-product"):
+        assert laws[law], laws
+    assert {key[2] for key in requested} == {"min", "max"}
