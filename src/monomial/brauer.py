@@ -53,11 +53,23 @@ from .groups import (
 class PairClass:
     """Conjugacy class of (H, chi) under the ambient subgroup, stored by
     its canonical representative (minimal subgroup elements, then minimal
-    character exponents, over all conjugates)."""
+    character exponents, over all conjugates).
+
+    The hash is computed once, at construction, and equals the frozen
+    dataclass hash of (ambient, subgroup, char); equality is the dataclass
+    equality."""
 
     ambient: Subgroup
     subgroup: Subgroup
     char: Character
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_hash", hash((self.ambient, self.subgroup, self.char))
+        )
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
         return (self.subgroup.order, self.subgroup.elements, self.char.exponents)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .cyclotomic import Cyclotomic, trace_row
-from .errors import NotASubgroup, NotMonomial
+from .errors import DomainMismatch, NotASubgroup, NotMonomial
 from .groups import (
     Group,
     QuotientMap,
@@ -96,11 +96,33 @@ def _abelian_coordinates(a: Group) -> dict[int, tuple[int, ...]]:
 # characters
 
 
+def _require_same_domain(a: Subgroup, b: Subgroup, what: str) -> None:
+    """Refuse, by type, operands on different domains (identity first, so
+    the common case costs one comparison)."""
+    if a is not b and a != b:
+        raise DomainMismatch(f"{what}: {a} and {b} are different domains")
+
+
 @dataclass(frozen=True)
 class Character:
+    """A 1-dimensional character of `domain`: chi(x) = zeta_modulus^k with
+    k the exponent aligned with x in domain.elements.
+
+    The hash is computed once, at construction, and equals the frozen
+    dataclass hash of (domain, modulus, exponents), so set and dict orders
+    are those of a plain dataclass; equality is the dataclass equality."""
+
     domain: Subgroup
     modulus: int
     exponents: tuple[int, ...]  # aligned with domain.elements
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_hash", hash((self.domain, self.modulus, self.exponents))
+        )
+
+    def __hash__(self):
+        return self._hash
 
     def value(self, x: int) -> Cyclotomic:
         return Cyclotomic.root_of_unity(self.modulus, self.exponent_of(x))
@@ -118,7 +140,7 @@ class Character:
         return self.modulus // g if self.modulus else 1
 
     def mul(self, other: "Character") -> "Character":
-        assert self.domain == other.domain
+        _require_same_domain(self.domain, other.domain, "character product")
         m = lcm(self.modulus, other.modulus)
         exps = tuple(
             (a * (m // self.modulus) + b * (m // other.modulus)) % m
@@ -290,14 +312,14 @@ class ClassFunction:
         return all(v.is_zero() for v in self.values)
 
     def __add__(self, other):
-        assert self.domain == other.domain
+        _require_same_domain(self.domain, other.domain, "class function sum")
         return ClassFunction(
             self.domain,
             tuple(a + b for a, b in zip(self.values, other.values)),
         )
 
     def __sub__(self, other):
-        assert self.domain == other.domain
+        _require_same_domain(self.domain, other.domain, "class function difference")
         return ClassFunction(
             self.domain,
             tuple(a - b for a, b in zip(self.values, other.values)),
@@ -308,7 +330,7 @@ class ClassFunction:
 
     def __mul__(self, other):
         if isinstance(other, ClassFunction):
-            assert self.domain == other.domain
+            _require_same_domain(self.domain, other.domain, "class function product")
             return ClassFunction(
                 self.domain,
                 tuple(a * b for a, b in zip(self.values, other.values)),
@@ -351,7 +373,7 @@ def restrict_class_function(f: ClassFunction, k: Subgroup) -> ClassFunction:
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
-    assert a.domain == b.domain
+    _require_same_domain(a.domain, b.domain, "inner product")
     total = Cyclotomic.zero()
     for cls, va, vb in zip(subgroup_classes(a.domain), a.values, b.values):
         total = total + len(cls) * va * vb.conjugate()

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .cyclotomic import factorize
-from .errors import NotAGroup, NotASubgroup, NotNormal, NotSolvable, ParseError
+from .errors import (
+    DomainMismatch,
+    NotAGroup,
+    NotASubgroup,
+    NotNormal,
+    NotSolvable,
+    ParseError,
+)
 
 MAX_ORDER = 128
 
@@ -189,7 +196,8 @@ class QuotientMap:
         return self.projection[x]
 
     def project_subgroup(self, h: Subgroup) -> Subgroup:
-        assert h.parent is self.source or h.parent == self.source
+        if h.parent is not self.source and h.parent != self.source:
+            raise DomainMismatch(f"{h} is not a subgroup of the source {self.source!r}")
         return subgroup(self.quotient, {self.projection[x] for x in h.elements})
 
     def preimage(self, hbar: Subgroup) -> Subgroup:
@@ -511,15 +519,16 @@ def minimal_abelian_normal_subgroups(g: Group) -> list[Subgroup]:
     return [n for n in minimal_normal_subgroups(g) if n.as_group.is_abelian()]
 
 
-def maximal_subgroups(g: Group) -> list[Subgroup]:
+@lru_cache(maxsize=None)
+def maximal_subgroups(g: Group) -> tuple[Subgroup, ...]:
     proper = [h for h in all_subgroups(g) if h.order < g.order]
-    return [
+    return tuple(
         h
         for h in proper
         if not any(
             k.order > h.order and k.contains_subgroup(h) for k in proper
         )
-    ]
+    )
 
 
 def fitting_subgroup(g: Group) -> Subgroup:

@@ -9,6 +9,7 @@ independently testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .cyclotomic import _is_prime, factorize
@@ -77,7 +78,7 @@ def is_type_III(g: Group, h: Subgroup) -> TypeIIICertificate:
             qh=trivial_subgroup(qm.quotient),
             qc=full_subgroup(qm.quotient),
         )
-    if h not in set(maximal_subgroups(g)):
+    if h not in maximal_subgroups(g):
         raise NotMaximal("H is not maximal")
     k = core(g, h)
     qm = quotient(g, k)
@@ -117,8 +118,10 @@ class TypeIIIVerdict:
     h1: bool | None = None
 
 
+@lru_cache(maxsize=None)
 def type3_verdict(g: Group, h: Subgroup) -> TypeIIIVerdict:
-    """is_type_III, then complements_census and h1_trivial on G/K."""
+    """is_type_III, then complements_census and h1_trivial on G/K; a pure
+    function of (G, H), so each verdict is computed once."""
     try:
         cert = is_type_III(g, h)
     except (HNormal, NotMaximal, CertificateFailed) as exc:

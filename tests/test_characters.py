@@ -204,3 +204,49 @@ def test_character_serialization():
     a3 = sub(s3, [0, 1, 2])
     omega = characters_of(a3)[1]
     assert omega.serialize() == "(0 1 2) : (0 1 2, 3)"
+
+
+# Run with and without `python -O`: characters and class functions on
+# different domains, including equal element tuples of different groups,
+# are typed refusals, not asserts.
+_DOMAIN_REFUSALS = """
+import sys
+from monomial.catalog import catalog_group
+from monomial.characters import (
+    character_class_function, characters_of, inner_product,
+)
+from monomial.errors import DomainMismatch
+from monomial.groups import full_subgroup, subgroup
+
+s3, c3 = catalog_group("S3"), catalog_group("C3")
+a3, c2, other = subgroup(s3, [0, 1, 2]), subgroup(s3, [0, 3]), full_subgroup(c3)
+chi, psi, rho = characters_of(a3)[1], characters_of(c2)[1], characters_of(other)[1]
+f, g = character_class_function(chi), character_class_function(rho)
+print("optimize", sys.flags.optimize)
+for label, call in (
+    ("character product", lambda: chi.mul(psi)),
+    ("character product across groups", lambda: chi.mul(rho)),
+    ("sum", lambda: f + g),
+    ("difference", lambda: f - character_class_function(psi)),
+    ("product", lambda: f * g),
+    ("inner product", lambda: inner_product(f, g)),
+):
+    try:
+        print(label, "returned", call())
+    except DomainMismatch:
+        print(label, "DomainMismatch")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_domain_refusals_hold_under_optimisation(flags, run_python):
+    out = run_python(flags, _DOMAIN_REFUSALS)
+    assert out[:7] == [
+        f"optimize {len(flags)}",
+        "character product DomainMismatch",
+        "character product across groups DomainMismatch",
+        "sum DomainMismatch",
+        "difference DomainMismatch",
+        "product DomainMismatch",
+        "inner product DomainMismatch",
+    ]

@@ -64,12 +64,21 @@ def test_type3_scan_reports_census():
     assert "refused HNormal" in result.output
 
 
-def test_failed_type3_certificate_turns_red(tmp_path, monkeypatch):
-    # a failed structure check is a failure, not a neutral refusal
+def _fail_type3_structure(monkeypatch, request):
+    """Patch the structure check to fail.  Cached verdicts would skip the
+    patched check, and the ones built with it must not outlive the test."""
+
     def fail(q, qh):
         raise CertificateFailed("C is not self-centralizing", witness=qh)
 
     monkeypatch.setattr(type3, "_check_structure", fail)
+    type3.type3_verdict.cache_clear()
+    request.addfinalizer(type3.type3_verdict.cache_clear)
+
+
+def test_failed_type3_certificate_turns_red(tmp_path, monkeypatch, request):
+    # a failed structure check is a failure, not a neutral refusal
+    _fail_type3_structure(monkeypatch, request)
     camp = tmp_path / "c.txt"
     camp.write_text("target S3 N=trivial\ncheck type3\n")
     campaign, scan = run("campaign", "run", str(camp)), run("type3", "scan", "S3")
@@ -80,6 +89,22 @@ def test_failed_type3_certificate_turns_red(tmp_path, monkeypatch):
         failed = "failed CertificateFailed: C is not self-centralizing"
         assert result.output.count(failed) == 3
     assert campaign.output.endswith("RESULT fail\n")
+
+
+def test_cached_type3_verdict_stays_failed_on_every_target(
+    tmp_path, monkeypatch, request
+):
+    # the second target reads the first one's cached verdicts: each of the
+    # three non-normal C2s fails again, never turning into a pass
+    _fail_type3_structure(monkeypatch, request)
+    camp = tmp_path / "c.txt"
+    camp.write_text("target S3 N=trivial\ntarget S3 N=center\ncheck type3\n")
+    result = run("campaign", "run", str(camp))
+    assert result.exit_code == 1
+    failed = "failed CertificateFailed: C is not self-centralizing"
+    assert result.output.count(failed) == 6
+    assert "ok=True" not in result.output
+    assert result.output.endswith("RESULT fail\n")
 
 
 def test_extend_run_round_trip(tmp_path):

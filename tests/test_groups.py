@@ -173,3 +173,27 @@ def test_frobenius_structure():
     assert center(f).order == 1
     f13 = catalog_group("F13_3")
     assert derived_subgroup(f13).order == 13
+
+
+# Run with and without `python -O`: projecting a subgroup of another group
+# through a quotient map is a typed refusal, not an assert.
+_PROJECT_REFUSAL = """
+import sys
+from monomial.catalog import catalog_group
+from monomial.errors import DomainMismatch
+from monomial.groups import quotient, subgroup
+
+s3, c6 = catalog_group("S3"), catalog_group("C6")
+qm = quotient(s3, subgroup(s3, [0, 1, 2]))
+print("optimize", sys.flags.optimize)
+try:
+    print("project subgroup returned", qm.project_subgroup(subgroup(c6, [0, 3])))
+except DomainMismatch:
+    print("project subgroup DomainMismatch")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_project_refusal_holds_under_optimisation(flags, run_python):
+    out = run_python(flags, _PROJECT_REFUSAL)
+    assert out[:2] == [f"optimize {len(flags)}", "project subgroup DomainMismatch"]
