@@ -448,24 +448,28 @@ def _ambient_table(ambient: Subgroup):
 @lru_cache(maxsize=None)
 def _phi_column(ambient: Subgroup, chi: Character) -> tuple[int, ...]:
     """Irreducible coordinates of Ind_H^ambient(chi), chi a character of
-    H: the phi column of the pair class [H, chi], exactly in integers."""
+    H: the phi column of the pair class [H, chi], exactly in integers.
+    The coordinates follow the table's row order, not the canonical one:
+    zero tests and norms read no order, and `_phi_matrix` permutes."""
     table, label = _ambient_table(ambient)
     return tuple(table.induced_coordinates(chi, label))
 
 
-def phi_coordinates(x: RPlusElement) -> list[int]:
-    """Irreducible coordinates of phi(x) over its ambient, in integers."""
+def phi_is_zero(x: RPlusElement) -> bool:
+    """Whether phi(x) = 0: its integer irreducible coordinates over its
+    ambient all vanish."""
     table, _ = _ambient_table(x.ambient)
-    total = [0] * len(table.characters)
+    total = [0] * len(table.vectors)
     for cls, n in x.coefficients:
         for i, c in enumerate(_phi_column(x.ambient, cls.char)):
             total[i] += n * c
-    return total
+    return not any(total)
 
 
 @lru_cache(maxsize=None)
 def _phi_matrix(ambient: Subgroup, lower: Subgroup):
-    """Columns: pair classes; rows: irreducible coordinates of phi.
+    """Columns: pair classes; rows: irreducible coordinates of phi, in the
+    canonical order of the irreducibles.
 
     Each column is the pair's `_phi_column`: class counts of the pair's
     subgroup through the ambient's integer character table (on its
@@ -474,8 +478,8 @@ def _phi_matrix(ambient: Subgroup, lower: Subgroup):
     """
     classes = pair_classes(ambient, lower)
     cols = [_phi_column(ambient, cls.char) for cls in classes]
-    n_rows = len(cols[0]) if cols else 0
-    matrix = [[cols[j][i] for j in range(len(cols))] for i in range(n_rows)]
+    rows = _ambient_table(ambient)[0].order if cols else ()
+    matrix = [[col[i] for col in cols] for i in rows]
     return classes, matrix
 
 

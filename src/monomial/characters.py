@@ -8,14 +8,15 @@ conjugacy class of their (sub)group.
 The irreducible characters live in an integer character table: values in
 Z[x]/(x^e - 1) for the group exponent e, with inner products, the zero
 test and decompositions done by the integer trace form (see
-CharacterTable).  They are converted to cyclotomic class functions once.
+CharacterTable).  They are converted to cyclotomic class functions and
+sorted once, on first use of that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .cyclotomic import Cyclotomic, trace_row
@@ -439,10 +440,14 @@ def _dual_row(vec, sizes, trace) -> list[int]:
 class CharacterTable:
     """The irreducible characters of a group as integer vectors.
 
-    `characters` are the irreducibles as ClassFunctions, sorted by
-    (dimension, sort_key); `vectors[i]` is characters[i] flattened over
-    (class, power of zeta_e) and `duals[i]` its dual row, so that
-    <f, characters[i]> = f . duals[i] / scale with scale = |G| phi(e).
+    `vectors[i]` is an irreducible flattened over (class, power of
+    zeta_e) and `duals[i]` its dual row, so that <f, psi_i> =
+    f . duals[i] / scale with scale = |G| phi(e).  The rows stay in the
+    order `_irreducibles` finds them: a zero test (an induced character's
+    coordinates, phi of a relation) reads no order.  The canonical order,
+    by (dimension, sort_key), is built on first use: `order[k]` is the row
+    of the k-th irreducible in it, and `characters` are the irreducibles
+    as ClassFunctions in that order; `coordinates` answers in it.
     """
 
     def __init__(self, g: Group):
@@ -452,8 +457,14 @@ class CharacterTable:
         self.trace = trace_row(self.exponent)
         self.scale = g.order * self.trace[0]
         vectors, duals = self._irreducibles()
-        e, full = self.exponent, full_subgroup(g)
-        funcs = [
+        self.vectors = tuple(vectors)
+        self.duals = tuple(duals)
+
+    @cached_property
+    def _functions(self) -> tuple[ClassFunction, ...]:
+        """The rows as ClassFunctions on the whole group, in row order."""
+        e, full = self.exponent, full_subgroup(self.group)
+        return tuple(
             ClassFunction(
                 full,
                 tuple(
@@ -461,15 +472,22 @@ class CharacterTable:
                     for c in range(len(self.sizes))
                 ),
             )
-            for vec in vectors
-        ]
-        order = sorted(
-            range(len(funcs)),
-            key=lambda i: (funcs[i].dimension(), funcs[i].sort_key()),
+            for vec in self.vectors
         )
-        self.characters = tuple(funcs[i] for i in order)
-        self.vectors = tuple(vectors[i] for i in order)
-        self.duals = tuple(duals[i] for i in order)
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        funcs = self._functions
+        return tuple(
+            sorted(
+                range(len(funcs)),
+                key=lambda i: (funcs[i].dimension(), funcs[i].sort_key()),
+            )
+        )
+
+    @cached_property
+    def characters(self) -> tuple[ClassFunction, ...]:
+        return tuple(self._functions[i] for i in self.order)
 
     def _induced_counts(self, chi: Character, label=None) -> dict[int, int]:
         """|H| Ind_H^G(chi), sparse over (class, a): each y in H adds
@@ -486,7 +504,8 @@ class CharacterTable:
         return counts
 
     def induced_coordinates(self, chi: Character, label=None) -> list[int]:
-        """Irreducible coordinates of Ind_H^G(chi), exactly in integers."""
+        """Irreducible coordinates of Ind_H^G(chi), exactly in integers,
+        in row order."""
         counts = self._induced_counts(chi, label).items()
         den = chi.domain.order * self.scale
         out = []
@@ -498,7 +517,8 @@ class CharacterTable:
         return out
 
     def coordinates(self, values) -> tuple[Fraction, ...]:
-        """Irreducible coordinates of the class function with these values.
+        """Irreducible coordinates of the class function with these values,
+        in the canonical order.
 
         Raises ValueError when a coordinate is not rational: a value lies
         outside Q(zeta_e), or the guard Tr <h, h> = 0 for
@@ -521,7 +541,7 @@ class CharacterTable:
                 rest = [x - n * y for x, y in zip(rest, psi)]
         if any(rest) and _dot(rest, _dual_row(rest, self.sizes, self.trace)):
             raise ValueError("class function has non-rational irreducible coordinates")
-        return tuple(Fraction(n, den * self.scale) for n in nums)
+        return tuple(Fraction(nums[i], den * self.scale) for i in self.order)
 
     def _irreducibles(self):
         """Decompose inductions of 1-dimensional characters of subgroups,

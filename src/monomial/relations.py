@@ -23,7 +23,7 @@ from .brauer import (
     glued_character,
     kernel_basis,
     pair_class,
-    phi_coordinates,
+    phi_is_zero,
     rplus,
 )
 from .characters import (
@@ -35,7 +35,7 @@ from .characters import (
     trivial_character,
 )
 from .cyclotomic import _is_prime
-from .errors import CertificateFailed, NotNormal
+from .errors import CertificateFailed, NotNormal, ParseError
 from .groups import (
     Group,
     Subgroup,
@@ -80,7 +80,7 @@ def _subgroups_of(g: Group, b: Subgroup):
 
 
 def _check_kernel(elt: RPlusElement) -> None:
-    if any(phi_coordinates(elt)):
+    if not phi_is_zero(elt):
         raise CertificateFailed("relation not in the kernel", witness=elt)
 
 
@@ -338,6 +338,11 @@ def gen_type_III(g: Group, n: Subgroup) -> list[BasicRelation]:
 def basic_relations(
     g: Group, n: Subgroup, kinds=("I", "II", "III")
 ) -> list[BasicRelation]:
+    """The relations of the families in `kinds`, each I, II or III; any
+    other kind is refused with ParseError."""
+    bad = next((k for k in kinds if k not in ("I", "II", "III")), None)
+    if bad is not None:
+        raise ParseError(f"relation kind {bad!r} is not I, II or III")
     out = []
     if "I" in kinds:
         out.extend(gen_type_I(g, n))

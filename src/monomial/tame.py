@@ -38,6 +38,7 @@ from .cyclotomic import (
     sqrt_prime,
 )
 from .errors import (
+    CertificateFailed,
     DegenerateCase,
     DomainMismatch,
     ModulusMismatch,
@@ -872,17 +873,30 @@ def check_DH_III_tame(p: int, f: int, ell: int, lpsi: int = 0, cap: int = 256) -
     k_over_l = tame_field(l_res, ell, 1, l_over_f.lpsi)  # K = L(pi^(1/l))
 
     by_j = {mu.j: mu for mu in norm_characters(k_over_l) if mu.j != 0}
-    assert len(by_j) == ell - 1
+    if len(by_j) != ell - 1:
+        raise CertificateFailed(
+            f"S(K|L) has {len(by_j)} nontrivial characters, not l - 1 = {ell - 1}",
+            witness=tuple(by_j),
+        )
     # Frobenius orbits: j -> q*j on residue parts, z fixed
     orbit_js = []
     for j in by_j:
         if all(j not in js for js in orbit_js):
             orbit_js.append(_frob_orbit_js(j, q, l_res.q - 1))
-    assert {len(js) for js in orbit_js} == {m}, "Frobenius orbits must have length m"
-    # inversion permutes the orbits (so for odd total degree a rep system
-    # stable under mu -> mu^{-1} exists)
+    # each orbit has length m, and inversion permutes the orbits (so for
+    # odd total degree a rep system stable under mu -> mu^{-1} exists)
     orbit_sets = {frozenset(js) for js in orbit_js}
-    assert orbit_sets == {frozenset((-j) % (l_res.q - 1) for j in o) for o in orbit_sets}
+    for js in orbit_js:
+        if len(js) != m:
+            raise CertificateFailed(
+                f"a Frobenius orbit has length {len(js)}, not m = {m}",
+                witness=tuple(js),
+            )
+        if frozenset((-j) % (l_res.q - 1) for j in js) not in orbit_sets:
+            raise CertificateFailed(
+                "j -> -j does not permute the Frobenius orbits",
+                witness=tuple(js),
+            )
     failures = []
     for js in orbit_js:
         # orbit-independence of the root numbers

@@ -3,7 +3,8 @@
 The oracle is the direct computation: inductions by the coset formula,
 inner products by summing Cyclotomic values over classes.  The table must
 give the same irreducibles in the same order, the same decompositions and
-the same phi matrix, exactly.
+the same phi matrix, exactly.  The table sorts its rows only on first
+ordered use; the phi matrix must still come out in the sorted order.
 """
 
 from fractions import Fraction
@@ -11,9 +12,10 @@ from fractions import Fraction
 import pytest
 
 from monomial.brauer import _phi_matrix, decompose_on, pair_classes
-from monomial.catalog import catalog_group
+from monomial.catalog import catalog_group, catalog_names
 from monomial.characters import (
     ClassFunction,
+    character_table,
     characters_of,
     decompose,
     induce,
@@ -135,3 +137,61 @@ def test_decompose_values_stored_at_other_moduli():
     assert decompose(trivial) == tuple(Fraction(chi == trivial) for chi in irr)
     f = ClassFunction(full, (Cyclotomic.from_rational(2, 8), Cyclotomic.zero(8)))
     assert decompose(f) == (1, 1)
+
+
+def _eager_phi_matrix(g, lower):
+    """The phi matrix of the whole group read off an eagerly sorted table:
+    every row a ClassFunction, the rows sorted by (dimension, sort_key)
+    before any coordinate is taken."""
+    table = character_table(g)
+    e, full = table.exponent, full_subgroup(g)
+    funcs = [
+        ClassFunction(
+            full,
+            tuple(Cyclotomic(e, vec[c * e : (c + 1) * e]) for c in range(len(table.sizes))),
+        )
+        for vec in table.vectors
+    ]
+    order = sorted(range(len(funcs)), key=lambda i: (funcs[i].dimension(), funcs[i].sort_key()))
+    assert table.characters == tuple(funcs[i] for i in order)
+    duals = [table.duals[i] for i in order]
+    cols = []
+    for cls in pair_classes(full, lower):
+        counts = table._induced_counts(cls.char).items()
+        den = cls.subgroup.order * table.scale
+        cols.append([sum(dual[i] * n for i, n in counts) // den for dual in duals])
+    return [[col[i] for col in cols] for i in range(len(duals))]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_phi_matrix_matches_the_eager_sorted_table(name):
+    g = catalog_group(name)
+    triv = trivial_subgroup(g)
+    assert _phi_matrix(full_subgroup(g), triv)[1] == _eager_phi_matrix(g, triv)
+
+
+# A campaign's checks read phi only through zero tests and norms, so the
+# table of the group is built but never sorted.
+_CAMPAIGN_LEAVES_TABLE_UNSORTED = """
+from click.testing import CliRunner
+from monomial.catalog import catalog_group
+from monomial.characters import character_table
+from monomial.cli import main
+
+with open("c.camp", "w") as handle:
+    handle.write("target S4 N=trivial\\ncheck extend\\ncheck towers\\ncheck type3\\n")
+print(CliRunner().invoke(main, ["campaign", "run", "c.camp"]).output.splitlines()[-1])
+misses = character_table.cache_info().misses
+table = character_table(catalog_group("S4"))
+print(character_table.cache_info().misses == misses, sorted(vars(table)))
+"""
+
+
+def test_campaign_leaves_the_table_unsorted(run_python, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out = run_python([], _CAMPAIGN_LEAVES_TABLE_UNSORTED)
+    assert out[0] == "RESULT pass"
+    # the table was built by the campaign, and holds no order
+    assert out[1] == (
+        "True ['duals', 'exponent', 'group', 'scale', 'sizes', 'trace', 'vectors']"
+    )

@@ -5,7 +5,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from monomial import type3
+from monomial import cli, type3
 from monomial.brauer import pair_classes
 from monomial.catalog import catalog_group
 from monomial.cli import main
@@ -107,6 +107,83 @@ def test_cached_type3_verdict_stays_failed_on_every_target(
     assert result.output.endswith("RESULT fail\n")
 
 
+def _clear_campaign_caches(request):
+    """Start from cold extend and towers verdicts, and leave none built
+    under a patch behind."""
+    for fn in (cli._extend_refusal, cli._tower_issues):
+        fn.cache_clear()
+        request.addfinalizer(fn.cache_clear)
+
+
+# S3's center and C6's derived subgroup are trivial: two targets repeat a (G, N)
+REPEATS = ("S3 N=trivial", "S3 N=center", "S3 N=derived", "C6 N=trivial", "C6 N=derived")
+
+
+def test_repeated_targets_print_the_lines_of_a_fresh_run(tmp_path, request):
+    camp = tmp_path / "c.txt"
+    checks = "check extend\ncheck towers\n"
+    alone = {}
+    for target in REPEATS:
+        _clear_campaign_caches(request)
+        camp.write_text(f"target {target}\n{checks}")
+        alone[target] = run("campaign", "run", str(camp)).output.splitlines()
+    _clear_campaign_caches(request)
+    camp.write_text("".join(f"target {t}\n" for t in REPEATS) + checks)
+    together = run("campaign", "run", str(camp)).output.splitlines()
+    assert together == [alone[t][k] for k in (0, 1) for t in REPEATS] + ["RESULT pass"]
+    # one verdict per distinct (G, N)
+    for fn in (cli._extend_refusal, cli._tower_issues):
+        assert fn.cache_info().misses == 3 and fn.cache_info().hits == 2
+
+
+def test_failed_extend_turns_every_target_of_its_pair_red(
+    tmp_path, monkeypatch, request
+):
+    real = cli.extend
+
+    def extend(g, n, delta, **kwargs):
+        if g.name == "S3" and n.order == 1:
+            raise CertificateFailed("witness is not in the kernel")
+        return real(g, n, delta, **kwargs)
+
+    monkeypatch.setattr(cli, "extend", extend)
+    _clear_campaign_caches(request)
+    camp = tmp_path / "c.txt"
+    camp.write_text(
+        "target S3 N=trivial\ntarget S3 N=derived\ntarget S3 N=center\n"
+        "target S3 N=0\ncheck extend\n"
+    )
+    result = run("campaign", "run", str(camp))
+    assert result.exit_code == 1
+    refused = "extend S3 refused CertificateFailed"
+    assert result.output.splitlines() == [
+        refused, "extend S3 extended", refused, refused, "RESULT fail"
+    ]
+
+
+def test_unknown_relation_kind_is_refused(tmp_path):
+    # a typo in a kind is an error naming it, never a verdict
+    camp = tmp_path / "c.txt"
+    camp.write_text("target S3 N=trivial\ncheck thm2.7 kinds=IV\n")
+    result = run("campaign", "run", str(camp))
+    assert result.exit_code == 1
+    assert result.output == (
+        "thm2.7 error ParseError: relation kind 'IV' is not I, II or III\n"
+        "RESULT fail\n"
+    )
+    for args in (["verify", "thm27", "S3", "--kinds", "I,IV"],
+                 ["relations", "gens", "S3", "--kinds", "IV"]):
+        assert "ParseError: relation kind 'IV'" in _one_error_line(run(*args))
+
+
+def test_unknown_check_is_refused_before_any_check_runs(tmp_path, monkeypatch):
+    # running thm2.7 would raise TypeError, a traceback, not an Error: line
+    monkeypatch.setattr(cli, "verify_theorem_2_7", None)
+    camp = tmp_path / "c.txt"
+    camp.write_text("target S3 N=trivial\ncheck thm2.7\ncheck nope\n")
+    assert "'nope'" in _one_error_line(run("campaign", "run", str(camp)))
+
+
 def test_extend_run_round_trip(tmp_path):
     grp = tmp_path / "c2.grp"
     grp.write_text(dump_group(catalog_group("C2")))
@@ -191,6 +268,10 @@ def test_input_errors_name_the_bad_token(tmp_path):
         ("check dh1 q=4\n", "ell"),
         ("check dh3 q=two ell=3\n", "'two'"),
         ("target S3 N\n", "'N'"),
+        ("target S3 N=\n", "'N='"),
+        ("target S3 N=trivial N=center\n", "'N=center'"),
+        ("target S3 M=center\n", "'M=center'"),
+        ("check dh1 q=5 ell=2 ramfied=true\n", "'ramfied=true'"),
         ("target\n", "'target'"),
     ):
         path = tmp_path / "bad.txt"

@@ -12,7 +12,7 @@ from monomial.brauer import (
 )
 from monomial.catalog import catalog_group, catalog_names
 from monomial.characters import characters_of, trivial_character
-from monomial.errors import CertificateFailed
+from monomial.errors import CertificateFailed, ParseError
 from monomial.extend import _minimal_abelian_layers
 from monomial.groups import (
     all_subgroups,
@@ -233,6 +233,17 @@ def test_theorem_2_7_nontrivial_n():
     report = verify_theorem_2_7(s3, full_subgroup(s3))
     assert report.equal
     assert report.kernel_rank == 0
+
+
+def test_unknown_relation_kind_is_refused():
+    # a kind outside I/II/III is a typo, refused by name, not dropped
+    s3 = catalog_group("S3")
+    n = trivial_subgroup(s3)
+    for kinds in (("IV",), ("I", "iii")):
+        with pytest.raises(ParseError, match=repr(kinds[-1])):
+            basic_relations(s3, n, kinds)
+    with pytest.raises(ParseError, match="'IV'"):
+        verify_theorem_2_7(s3, n, ("I", "IV"))
 
 
 # Run under `python -O`: a bogus relation must still be refused, by the

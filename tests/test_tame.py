@@ -736,6 +736,39 @@ def test_tame_failures_are_verdicts(flags, run_python):
     ]
 
 
+# The dh3 orbit data patched out of shape: a missing character of S(K|L),
+# Frobenius orbits of the wrong length, and orbits that j -> -j does not
+# permute are each refused with the offending orbit, with and without -O.
+_DH3_ORBIT_SHAPE = """
+from monomial import tame
+from monomial.errors import CertificateFailed
+
+norm, orbit = tame.norm_characters, tame._frob_orbit_js
+for name, fake, args in (
+    ("norm_characters", lambda k: norm(k)[:-1], (2, 1, 3)),
+    ("_frob_orbit_js", lambda j, q, mod: [j], (2, 1, 3)),
+    ("_frob_orbit_js", lambda j, q, mod: [1, 2, 5] if j in (1, 2, 5) else [3, 4, 6],
+     (2, 1, 7)),
+):
+    setattr(tame, name, fake)
+    try:
+        print(tame.check_DH_III_tame(*args)["ok"])
+    except CertificateFailed as exc:
+        print(f"{exc}: {sorted(exc.witness)}")
+    tame.norm_characters, tame._frob_orbit_js = norm, orbit
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_dh3_orbit_shape_is_certified(flags, run_python):
+    out = run_python(flags, _DH3_ORBIT_SHAPE)
+    assert out[:3] == [
+        "S(K|L) has 1 nontrivial characters, not l - 1 = 2: [1]",
+        "a Frobenius orbit has length 1, not m = 2: [1]",
+        "j -> -j does not permute the Frobenius orbits: [1, 2, 5]",
+    ]
+
+
 # Mixed primes, int64 overflow, sqrt(p) outside Z[zeta_M], characters of
 # different fields, the inverse of a root value c * p^(k/2) with c = 0 or
 # with a non-rational norm c * conj(c), and a Galois pair whose subgroup
