@@ -12,11 +12,12 @@ decided at the lcm of the moduli its characters need, not at q_K - 1.
 Both representations are counted from these arrays: the integer vectors
 modulo x^M - 1 (CycVec) that the large-field identities multiply, and the
 dense Cyclotomic values (gauss_sum, root_number) converted from them at the
-fixed moduli their docstrings give.  The CycVec zero test is rigorous: a
-nonzero algebraic integer has a conjugate of absolute value >= 1, so when
-the guaranteed FFT error is small, every conjugate below 1/4 proves zero
-and one above 3/4 proves nonzero; anything between, or a vector too large
-for the error bound, is decided by an exact remainder.
+fixed moduli their docstrings give.  The CycVec zero test is a float
+test, not a certified one: a nonzero algebraic integer has a conjugate of
+absolute value >= 1, so while an FFT error estimate (one with no
+derivation) stays small, every conjugate below 1/4 is read as zero and one
+above 3/4 as nonzero; anything between, or a vector beyond the estimate,
+is decided by an exact remainder.
 """
 
 from __future__ import annotations
@@ -170,7 +171,9 @@ class FiniteField:
             cur = self._mul_digits(cur, gen_digits)
             self.exp.append(self._encode(cur))
         self.log = {x: k for k, x in enumerate(self.exp)}
-        assert len(self.log) == q - 1
+        if len(self.log) != q - 1:
+            order = len(self.log)
+            raise CertificateFailed(f"F_{q}'s generator has order {order}", witness=order)
 
     def _pow_raw(self, a: int, e: int) -> int:
         out = 1
@@ -540,13 +543,14 @@ def _root_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 # at most one a_i (i = k - j mod M), so every partial sum at k is at most
 # sum_j |b_j| * max|a| < 2^62 in absolute value: no step can wrap.
 #
-# The zero test in Z[zeta_M] is rigorous: a nonzero algebraic integer has
-# a conjugate of absolute value >= 1, and the conjugates of v(zeta_M) are
-# the DFT values at the primitive indices t, so bounding all of them well
-# below 1 (with a guaranteed numerical error margin) certifies exact
-# vanishing.  The vector is real, so v(zeta^-t) is the complex conjugate
-# of v(zeta^t), and t is primitive iff M - t is: one real FFT (np.fft.rfft)
-# read at the primitive t <= M/2 sees every conjugate's absolute value.
+# The zero test in Z[zeta_M] reads the conjugates of v(zeta_M), the DFT
+# values at the primitive indices t: a nonzero algebraic integer has a
+# conjugate of absolute value >= 1, so all of them well below 1 means zero,
+# as long as the float error is below the margin in is_zero.  That margin
+# has no derivation, so this is not a certificate.  The vector is real, so
+# v(zeta^-t) is the complex conjugate of v(zeta^t), and t is primitive iff
+# M - t is: one real FFT (np.fft.rfft) read at the primitive t <= M/2 sees
+# every conjugate's absolute value.
 # Borderline magnitudes fall back to an exact integer remainder by the
 # cyclotomic polynomial.
 
@@ -650,8 +654,9 @@ def _sqrt_pairs(p: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     s = sqrt_prime(p)
     pairs = []
     for k, c in enumerate(s.coeffs):
+        if c.denominator != 1:
+            raise CertificateFailed(f"sqrt({p}) has the non-integer coefficient {c}", witness=c)
         if c:
-            assert c.denominator == 1
             pairs.append((k, int(c)))
     return s.m, tuple(pairs)
 
@@ -1018,7 +1023,8 @@ def _galois_pair_value(
         # z = chi(Frob), Frob the unique element of H over sigma^f_E
         target = g.inv(g.power(sigma, f_e))
         frobs = [x for x in h.elements if g.mul(x, target) in inertia_set]
-        assert len(frobs) == 1
+        if len(frobs) != 1:
+            raise CertificateFailed(f"H has {len(frobs)} Frobenius lifts, not 1", witness=frobs)
         num, den = _char_root(chi, frobs[0])
         return root_number(tame_char(field_e, 0, num, den))
     if e_ke != e_total:
@@ -1028,7 +1034,8 @@ def _galois_pair_value(
     ell = e_total
     # residue part from chi on inertia: chi(tau) = zeta_l^s
     num_t, den_t = _char_root(chi, tau)
-    assert (num_t * ell) % den_t == 0, "chi is not order-l on inertia"
+    if (num_t * ell) % den_t:
+        raise CertificateFailed("chi is not order-l on inertia", witness=(num_t, den_t))
     s = num_t * ell // den_t
     if f_e > 1 and (base.q - 1) % ell == 0:
         # Art_E = Art_F o N on units, so E's generator g_E goes to tau^m0
@@ -1108,7 +1115,8 @@ def galois_delta(
                 if cos_order % m == 0:
                     sigma = x
                     break
-        assert sigma is not None, "no Frobenius lift with the q-power action"
+        if sigma is None:
+            raise CertificateFailed("no Frobenius lift with the q-power action", witness=tau)
     else:
         raise UnsupportedModel(f"unknown model {model!r}")
 

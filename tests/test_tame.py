@@ -1,11 +1,11 @@
 import random
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
 
-from monomial.cyclotomic import Cyclotomic, sqrt_prime
+from monomial.cyclotomic import Cyclotomic, factorize, sqrt_prime
 from monomial.errors import (
     DegenerateCase,
     NotAbelianTameCase,
@@ -459,6 +459,25 @@ def _full_fft_is_zero(v):
     return v._exact_is_zero()
 
 
+def _projector_is_zero(v):
+    """The exact integer zero test of Lam-Leung ("On vanishing sums of roots
+    of unity", J. Algebra 224, 2000).  For a prime p | M, a -> p*a - T_p*a,
+    T_p*a the column sums of the (p, M/p) reshape, keeps a's value (times p)
+    at each M-th root of unity whose order has the power of p that M has,
+    and sends it to 0 at the others; after every p | M only the primitive
+    M-th roots are left, scaled by rad(M), so the result is zero exactly
+    when a(zeta_M) = 0."""
+    primes = [p for p, _ in factorize(v.M)]
+    assert int(np.abs(v.arr).max()) * prod(2 * p for p in primes) < 2**62
+    b = v.arr.copy()
+    for p in primes:
+        cols = b.reshape(p, v.M // p)
+        sums = cols.sum(axis=0)
+        cols *= p
+        cols -= sums
+    return not b.any()
+
+
 def _structured_zero(rng, M):
     """A signed sum of shifted full sets of d-th roots of unity, d > 1."""
     divisors = [d for d in range(2, M + 1) if M % d == 0]
@@ -477,10 +496,12 @@ def test_rfft_zero_test_matches_full_fft_and_exact():
             cases = [pairs]
             if M > 1:
                 zero = _structured_zero(rng, M)
-                cases += [zero, zero + pairs]
+                # the last is a root of unity, never zero
+                cases += [zero, zero + pairs, zero + [(rng.randrange(M), 1)]]
             for case in cases:
                 v = CycVec.from_pairs(M, case)
                 assert v.is_zero() == _full_fft_is_zero(v), (M, case)
+                assert v.is_zero() == _projector_is_zero(v), (M, case)
                 if M <= 126:
                     assert v.is_zero() == v._exact_is_zero(), (M, case)
             if M > 1:
@@ -767,6 +788,28 @@ def test_dh3_orbit_shape_is_certified(flags, run_python):
         "a Frobenius orbit has length 1, not m = 2: [1]",
         "j -> -j does not permute the Frobenius orbits: [1, 2, 5]",
     ]
+
+
+# sqrt(p) patched to a non-integer coefficient is refused with that
+# coefficient as witness, with and without -O.
+_SQRT_PAIRS = """
+from fractions import Fraction
+from monomial import tame
+from monomial.cyclotomic import Cyclotomic
+from monomial.errors import CertificateFailed
+
+tame.sqrt_prime = lambda p: Cyclotomic(4, [0, Fraction(1, 2)])
+try:
+    print(tame._sqrt_pairs(2))
+except CertificateFailed as exc:
+    print(f"{exc}: {exc.witness}")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_sqrt_pairs_refuses_non_integer_coefficients(flags, run_python):
+    out = run_python(flags, _SQRT_PAIRS)
+    assert out[0] == "sqrt(2) has the non-integer coefficient 1/2: 1/2"
 
 
 # Mixed primes, int64 overflow, sqrt(p) outside Z[zeta_M], characters of
