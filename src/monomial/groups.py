@@ -228,12 +228,26 @@ def _validate_table(table) -> None:
             table[j][i] for j in range(n)
         ) != list(range(n)):
             raise NotAGroup(f"row/column {i} is not a permutation")
+    # Light's test: the a with (x*a)*y = x*(a*y) for all x, y are closed
+    # under the product, so it is enough to check a set S whose products
+    # reach every element.  S is picked greedily: an element joins S only
+    # when right multiplication by S has not reached it yet.  The identity
+    # passes trivially, so the reached set starts from it.
+    reached, seen, gens = [0], {0}, []
     for a in range(n):
-        for b in range(n):
-            tab = table[a][b]
-            for c in range(n):
-                if table[tab][c] != table[a][table[b][c]]:
-                    raise NotAGroup(f"associativity fails at triple {(a, b, c)}")
+        if a in seen:
+            continue
+        for x in range(n):
+            xa = table[x][a]
+            for y in range(n):
+                if table[xa][y] != table[x][table[a][y]]:
+                    raise NotAGroup(f"associativity fails at triple {(x, a, y)}")
+        gens.append(a)
+        for r in reached:
+            for g in gens:
+                if table[r][g] not in seen:
+                    seen.add(table[r][g])
+                    reached.append(table[r][g])
     for a in range(n):
         if all(table[a][b] != 0 for b in range(n)):
             raise NotAGroup(f"element {a} has no inverse")

@@ -12,12 +12,9 @@ decided at the lcm of the moduli its characters need, not at q_K - 1.
 Both representations are counted from these arrays: the integer vectors
 modulo x^M - 1 (CycVec) that the large-field identities multiply, and the
 dense Cyclotomic values (gauss_sum, root_number) converted from them at the
-fixed moduli their docstrings give.  The CycVec zero test is a float
-test, not a certified one: a nonzero algebraic integer has a conjugate of
-absolute value >= 1, so while an FFT error estimate (one with no
-derivation) stays small, every conjugate below 1/4 is read as zero and one
-above 3/4 as nonzero; anything between, or a vector beyond the estimate,
-is decided by an exact remainder.
+fixed moduli their docstrings give.  The CycVec zero test is the exact
+integer cyclotomic projector of Lam-Leung (J. Algebra 224, 2000); it refuses
+max|a| * prod(2p) >= 2^62 with TooLarge (the `tame` corpus needs 20 bits).
 """
 
 from __future__ import annotations
@@ -25,16 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import index
 
 import numpy as _np
 
 from .cyclotomic import (
     Cyclotomic,
-    _cyclo_coeffs,
     _is_prime,
     _multiplicative_order,
-    _poly_rem,
     factorize,
     sqrt_prime,
 )
@@ -534,6 +530,12 @@ def _root_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 # Z[x]/(x^M - 1).  A Gauss sum or root number is a sum of roots of unity,
 # so its vector is one np.bincount of its int64 exponent array.
 #
+# Coefficients are below 2^62 in absolute value: _coefficient refuses a
+# non-integer (OutOfDomain) or |c| >= 2^62 (TooLarge) in constructor input
+# that is not an int64 array, from_pairs sums (taken in Python integers) and
+# scale factors; an int64 array is trusted, as the class's own results are.
+# So a - b cannot wrap (< 2^63), and a difference past 2^62 is refused.
+#
 # A product a * b is the outer product over the two supports: the term
 # a_i b_j lands at (i + j) mod M, and np.add.at accumulates the terms into
 # one int64 vector, at most _OUTER_BLOCK terms at a time so that two dense
@@ -543,28 +545,16 @@ def _root_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 # at most one a_i (i = k - j mod M), so every partial sum at k is at most
 # sum_j |b_j| * max|a| < 2^62 in absolute value: no step can wrap.
 #
-# The zero test in Z[zeta_M] reads the conjugates of v(zeta_M), the DFT
-# values at the primitive indices t: a nonzero algebraic integer has a
-# conjugate of absolute value >= 1, so all of them well below 1 means zero,
-# as long as the float error is below the margin in is_zero.  That margin
-# has no derivation, so this is not a certificate.  The vector is real, so
-# v(zeta^-t) is the complex conjugate of v(zeta^t), and t is primitive iff
-# M - t is: one real FFT (np.fft.rfft) read at the primitive t <= M/2 sees
-# every conjugate's absolute value.
-# Borderline magnitudes fall back to an exact integer remainder by the
-# cyclotomic polynomial.
+# The zero test is the cyclotomic projector (Lam-Leung, "On vanishing sums
+# of roots of unity", J. Algebra 224, 2000).  For p | M prime, T_p adds the p
+# rows of the (p, M/p) reshape: at an M-th root of unity w, T_p(w) = p if
+# w^(M/p) = 1, else 0.  So b = prod_p (p - T_p) a is rad(M) a(w) at primitive
+# w and 0 at the other M-th roots, which fix b: b = 0 iff a(zeta_M) = 0.  A
+# fold multiplies max|b| by at most 2p, so is_zero refuses max|a| * prod(2p)
+# >= 2^62 with TooLarge before it starts; the `tame` corpus needs 20 bits.
 
 _COEFF_LIMIT = 2**62
 _OUTER_BLOCK = 2**20
-
-
-@lru_cache(maxsize=None)
-def _primitive_indices(M: int) -> _np.ndarray:
-    """The t <= M/2 prime to M, as a read-only array."""
-    t = _np.arange(M // 2 + 1)
-    out = t[_np.gcd(t, M) == 1]
-    out.flags.writeable = False
-    return out
 
 
 class CycVec:
@@ -572,17 +562,33 @@ class CycVec:
 
     __slots__ = ("M", "arr")
 
+    @staticmethod
+    def _coefficient(c) -> int:
+        """c as a Python int below 2^62 in absolute value, or a refusal."""
+        try:
+            c = index(c)
+        except TypeError:
+            raise OutOfDomain(f"CycVec coefficient {c!r} is not an integer") from None
+        if abs(c) >= _COEFF_LIMIT:
+            raise TooLarge(f"CycVec coefficient {c} reaches 2^62")
+        return c
+
     def __init__(self, M: int, arr):
-        self.M = M
-        self.arr = _np.asarray(arr, dtype=_np.int64)
-        if self.arr.shape != (M,):
-            raise ModulusMismatch(f"CycVec of shape {self.arr.shape} at M = {M}")
+        if not (isinstance(arr, _np.ndarray) and arr.dtype == _np.int64):
+            checked = _np.frompyfunc(CycVec._coefficient, 1, 1)(_np.asarray(arr, dtype=object))
+            arr = _np.asarray(checked, dtype=_np.int64)
+        if arr.shape != (M,):
+            raise ModulusMismatch(f"CycVec of shape {arr.shape} at M = {M}")
+        self.M, self.arr = M, arr
 
     @staticmethod
     def from_pairs(M: int, pairs) -> "CycVec":
-        arr = _np.zeros(M, dtype=_np.int64)
+        sums = {}
         for e, c in pairs:
-            arr[e % M] += c
+            sums[e % M] = sums.get(e % M, 0) + c
+        arr = _np.zeros(M, dtype=_np.int64)
+        for e, c in sums.items():
+            arr[e] = CycVec._coefficient(c)
         return CycVec(M, arr)
 
     def _same_modulus(self, other: "CycVec") -> None:
@@ -591,20 +597,19 @@ class CycVec:
 
     def __sub__(self, other: "CycVec") -> "CycVec":
         self._same_modulus(other)
-        return CycVec(self.M, self.arr - other.arr)
+        diff = CycVec(self.M, self.arr - other.arr)
+        diff._bound_product(1)
+        return diff
 
     def _bound_product(self, factor: int) -> None:
-        """Refuse a product whose coefficients, at most max|coefficient|
-        times `factor` (a scalar's size or a vector's l1 norm), could reach
-        the int64-safe limit; computed in Python integers before any
-        fixed-width arithmetic runs."""
+        """Refuse when max|coefficient| * factor (a scalar, a vector's l1 norm
+        or the zero test's prod(2p)) could reach 2^62, in Python integers."""
         top = max(int(self.arr.max(initial=0)), -int(self.arr.min(initial=0)))
         if top * factor >= _COEFF_LIMIT:
-            raise TooLarge(
-                f"CycVec product bound {top} * {factor} reaches 2^62 at M = {self.M}"
-            )
+            raise TooLarge(f"CycVec bound {top} * {factor} reaches 2^62 at M = {self.M}")
 
     def scale(self, c: int) -> "CycVec":
+        c = self._coefficient(c)
         self._bound_product(abs(c))
         return CycVec(self.M, self.arr * c)
 
@@ -628,21 +633,15 @@ class CycVec:
         return CycVec(self.M, out)
 
     def is_zero(self) -> bool:
-        total = float(_np.abs(self.arr).sum(dtype=_np.float64))  # cannot wrap
-        if total == 0:
-            return True
-        fft_err = 1e-12 * total * (self.M.bit_length() + 4)
-        if fft_err < 0.05:
-            vals = _np.abs(_np.fft.rfft(self.arr)[_primitive_indices(self.M)])
-            top = float(vals.max())
-            if top < 0.25:
-                return True
-            if top > 0.75:
-                return False
-        return self._exact_is_zero()
-
-    def _exact_is_zero(self) -> bool:
-        return not _poly_rem([int(c) for c in self.arr], _cyclo_coeffs(self.M))
+        primes = [p for p, _ in factorize(self.M)]
+        self._bound_product(prod(2 * p for p in primes))
+        b = self.arr.copy()
+        for p in primes:
+            cols = b.reshape(p, self.M // p)
+            sums = cols.sum(axis=0)
+            cols *= p
+            cols -= sums
+        return not b.any()
 
     def to_cyclotomic(self) -> Cyclotomic:
         return Cyclotomic(self.M, self.arr.tolist())

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from monomial.catalog import catalog_group, catalog_names
@@ -52,10 +54,56 @@ def test_load_rejects_malformed():
         load_group(bad)
 
 
+# Latin squares with 0 as a two-sided identity that are not associative: in
+# the order-6 one, 1 passes the associativity check and 2 fails it.
+_NON_ASSOCIATIVE_LOOPS = [
+    [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+    [
+        [0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 5, 1, 4, 3, 0],
+        [3, 4, 5, 2, 0, 1], [4, 3, 0, 1, 5, 2], [5, 2, 3, 0, 1, 4],
+    ],
+]
+
+
+@pytest.mark.parametrize("table", _NON_ASSOCIATIVE_LOOPS)
+def test_rejects_non_associative_loops(table):
+    with pytest.raises(NotAGroup, match="associativity"):
+        make_group(table)
+
+
+def _normalized_latin_squares(n):
+    """Every Latin square of order n whose first row and column are 0..n-1."""
+    def extend(rows):
+        if len(rows) == n:
+            yield rows
+            return
+        i = len(rows)
+        for rest in permutations([x for x in range(n) if x != i]):
+            row = (i, *rest)
+            if all(row[j] != r[j] for r in rows for j in range(n)):
+                yield from extend(rows + [row])
+    yield from extend([tuple(range(n))])
+
+
+def test_associativity_check_matches_every_triple():
+    # all 56 normalized Latin squares of order 5: the 6 labellings of C5 are
+    # accepted and every other square is refused
+    squares = list(_normalized_latin_squares(5))
+    assert len(squares) == 56
+    accepted = 0
+    for table in squares:
+        r = range(5)
+        if all(table[table[a][b]][c] == table[a][table[b][c]] for a in r for b in r for c in r):
+            make_group(table)
+            accepted += 1
+        else:
+            with pytest.raises(NotAGroup, match="associativity"):
+                make_group(table)
+    assert accepted == 6
+
+
 def test_rejects_non_solvable():
     # A5 (order 60) built on the fly from even permutations
-    from itertools import permutations
-
     from monomial.catalog import _perm_group_table, _sign
 
     table = _perm_group_table(

@@ -1,11 +1,11 @@
 import random
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 
-from monomial.cyclotomic import Cyclotomic, factorize, sqrt_prime
+from monomial.cyclotomic import Cyclotomic, _cyclo_coeffs, _poly_rem, sqrt_prime
 from monomial.errors import (
     DegenerateCase,
     NotAbelianTameCase,
@@ -50,7 +50,6 @@ from monomial.tame import (
     _gauss_indices,
     _gauss_vec,
     _is_irreducible,
-    _primitive_indices,
     _root_number_indices,
     _sqrt_vec,
     _swept_characters,
@@ -445,37 +444,18 @@ def _all_primitive(M):
     return [t for t in range(M) if gcd(t, M) == 1]
 
 
-def _full_fft_is_zero(v):
-    """CycVec.is_zero read from a complex FFT at every primitive index."""
-    total = float(np.abs(v.arr).sum(dtype=np.float64))
-    if total == 0:
-        return True
-    if 1e-12 * total * (v.M.bit_length() + 4) < 0.05:
-        top = float(np.abs(np.fft.fft(v.arr)[_all_primitive(v.M)]).max())
-        if top < 0.25:
-            return True
-        if top > 0.75:
-            return False
-    return v._exact_is_zero()
+def _fft_is_zero(v):
+    """v(zeta_M) == 0 read from a complex FFT at every primitive index.  A
+    nonzero algebraic integer has a conjugate of absolute value >= 1, so the
+    oracle insists the largest conjugate is clearly near 0 or clearly >= 1."""
+    top = float(np.abs(np.fft.fft(v.arr)[_all_primitive(v.M)]).max())
+    assert top < 1e-6 or top > 0.99, (v.M, top)
+    return top < 0.5
 
 
-def _projector_is_zero(v):
-    """The exact integer zero test of Lam-Leung ("On vanishing sums of roots
-    of unity", J. Algebra 224, 2000).  For a prime p | M, a -> p*a - T_p*a,
-    T_p*a the column sums of the (p, M/p) reshape, keeps a's value (times p)
-    at each M-th root of unity whose order has the power of p that M has,
-    and sends it to 0 at the others; after every p | M only the primitive
-    M-th roots are left, scaled by rad(M), so the result is zero exactly
-    when a(zeta_M) = 0."""
-    primes = [p for p, _ in factorize(v.M)]
-    assert int(np.abs(v.arr).max()) * prod(2 * p for p in primes) < 2**62
-    b = v.arr.copy()
-    for p in primes:
-        cols = b.reshape(p, v.M // p)
-        sums = cols.sum(axis=0)
-        cols *= p
-        cols -= sums
-    return not b.any()
+def _remainder_is_zero(v):
+    """v(zeta_M) == 0 read from the exact remainder of v modulo Phi_M."""
+    return not any(_poly_rem(v.arr.tolist(), _cyclo_coeffs(v.M)))
 
 
 def _structured_zero(rng, M):
@@ -488,9 +468,10 @@ def _structured_zero(rng, M):
     return pairs
 
 
-def test_rfft_zero_test_matches_full_fft_and_exact():
+def test_zero_test_matches_exact_remainder_and_fft():
     rng = random.Random(13)
     for M in (1, 2, 3, 12, 15, 30, 126, 87780):
+        oracle = _remainder_is_zero if M <= 126 else _fft_is_zero
         for _ in range(30):
             pairs = [(rng.randrange(M), rng.randrange(-3, 4)) for _ in range(rng.randrange(1, 8))]
             cases = [pairs]
@@ -500,20 +481,10 @@ def test_rfft_zero_test_matches_full_fft_and_exact():
                 cases += [zero, zero + pairs, zero + [(rng.randrange(M), 1)]]
             for case in cases:
                 v = CycVec.from_pairs(M, case)
-                assert v.is_zero() == _full_fft_is_zero(v), (M, case)
-                assert v.is_zero() == _projector_is_zero(v), (M, case)
-                if M <= 126:
-                    assert v.is_zero() == v._exact_is_zero(), (M, case)
+                assert v.is_zero() == oracle(v), (M, case)
             if M > 1:
                 assert CycVec.from_pairs(M, zero).is_zero()
-
-
-def test_primitive_indices_are_the_lower_half_units():
-    for M in list(range(1, 200)) + [87780]:
-        prim = _primitive_indices(M)
-        assert prim.tolist() == [t for t in range(M // 2 + 1) if gcd(t, M) == 1], M
-        with pytest.raises(ValueError):
-            prim[0] = 0
+                assert not CycVec.from_pairs(M, zero + [(rng.randrange(M), 1)]).is_zero()
 
 
 def test_gauss_sum_oracles():
@@ -931,6 +902,94 @@ def test_modulus_refusals_hold_under_optimisation(flags, run_python):
     assert out[:7] == ["ModulusMismatch"] * 7
 
 
+# The CycVec int64 boundary: sums that wrap, entries past 2^62, scale
+# factors past 2^62 and non-integer coefficients are refused by type; sums
+# that cancel in Python integers and other integer dtypes are accepted.
+_CYCVEC_BOUNDARY = """
+from fractions import Fraction
+
+import numpy as np
+
+from monomial.errors import OutOfDomain, TooLarge
+from monomial.tame import CycVec
+
+for attempt in (
+    lambda: CycVec.from_pairs(2, [(0, 2**62), (0, 2**62)]),
+    lambda: CycVec(4, [2**63, 0, 0, 0]),
+    lambda: CycVec(4, [-2**62, 0, 0, 0]),
+    lambda: CycVec(4, [0] * 4).scale(2**64),
+    lambda: CycVec(4, [0] * 4).scale(2**62),
+    lambda: CycVec(3, [0.5, 0, 0]),
+    lambda: CycVec(3, [Fraction(1, 2), 0, 0]),
+    lambda: CycVec(2, [2**62 - 1, 0]) - CycVec(2, [-1, 0]),
+    lambda: CycVec.from_pairs(2, [(0, 2**63), (0, -2**63), (3, 2**62 - 1)]).arr.tolist(),
+    lambda: CycVec(2, np.array([3, -4], dtype=np.int32)).arr.tolist(),
+    lambda: (CycVec(2, [2**62 - 1, 0]) - CycVec(2, [1, 0])).arr.tolist(),
+):
+    try:
+        print(attempt())
+    except (OutOfDomain, TooLarge) as exc:
+        print(type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_cycvec_int64_boundary(flags, run_python):
+    out = run_python(flags, _CYCVEC_BOUNDARY)
+    assert out[:11] == [
+        "TooLarge", "TooLarge", "TooLarge", "TooLarge", "TooLarge",
+        "OutOfDomain", "OutOfDomain", "TooLarge",
+        f"[0, {2**62 - 1}]", "[3, -4]", f"[{2**62 - 2}, 0]",
+    ]
+
+
+# The zero test's bound max|a| * prod(2p) < 2^62: at the largest max|a|
+# below it a coset sum of roots of unity (zero) and a scaled root of unity
+# (nonzero) are decided, and vectors with alternating signs agree with the
+# exact remainder modulo Phi_M; one more is refused, with and without -O.
+_ZERO_TEST_BOUND = """
+from math import prod
+
+import numpy as np
+
+from monomial.cyclotomic import _cyclo_coeffs, _poly_rem, factorize
+from monomial.errors import TooLarge
+from monomial.tame import CycVec
+
+for M in (30, 126, 87780):
+    top = (2**62 - 1) // prod(2 * p for p, _ in factorize(M))
+    d = factorize(M)[-1][0]
+    zero = CycVec.from_pairs(M, [(1 + k * (M // d), top) for k in range(d)])
+    root = CycVec.from_pairs(M, [(1, -top)])
+    print(M, zero.is_zero(), root.is_zero())
+    if M <= 126:
+        rng = np.random.default_rng(M)
+        agree = True
+        for _ in range(20):
+            arr = top * rng.choice([-1, 0, 1], size=M)
+            arr[:d] = top * (-1) ** np.arange(d)
+            v = CycVec(M, arr)
+            exact = not any(_poly_rem(v.arr.tolist(), _cyclo_coeffs(M)))
+            agree &= v.is_zero() == exact
+        print(M, agree)
+    for v in (zero, root):
+        try:
+            print(CycVec(M, v.arr + np.sign(v.arr)).is_zero())
+        except TooLarge as exc:
+            print(type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_zero_test_just_below_the_bound(flags, run_python):
+    out = run_python(flags, _ZERO_TEST_BOUND)
+    assert out[:11] == [
+        "30 True False", "30 True", "TooLarge", "TooLarge",
+        "126 True False", "126 True", "TooLarge", "TooLarge",
+        "87780 True False", "TooLarge", "TooLarge",
+    ]
+
+
 def test_cycvec_products_below_the_bound_are_exact():
     a = CycVec(4, [2**40, 2**40, 0, 0])
     assert (a * CycVec(4, [2**20, 2**20, 0, 0])).arr.tolist() == [2**60, 2**61, 2**60, 0]
@@ -999,10 +1058,10 @@ def test_cycvec_zero_test():
     assert (a * b).to_cyclotomic() == dense
 
 
-def test_cycvec_exact_zero_test():
+def test_cycvec_zero_test_ignores_added_root_sums():
     rng = random.Random(11)
     for m in (3, 12, 15, 30):
-        assert not CycVec.from_pairs(m, [(0, 1)])._exact_is_zero()
+        assert not CycVec.from_pairs(m, [(0, 1)]).is_zero()
         divisors = [d for d in range(2, m + 1) if m % d == 0]
         for _ in range(40):
             # the d-th roots of unity sum to zero
@@ -1010,11 +1069,10 @@ def test_cycvec_exact_zero_test():
             sign = rng.choice([-1, 1])
             zero = [(k * (m // d), sign) for k in range(d)]
             pairs = [(rng.randrange(m), rng.randrange(-2, 3)) for _ in range(4)]
-            assert CycVec.from_pairs(m, zero)._exact_is_zero()
-            assert (
-                CycVec.from_pairs(m, pairs + zero)._exact_is_zero()
-                == CycVec.from_pairs(m, pairs)._exact_is_zero()
-            )
+            v = CycVec.from_pairs(m, pairs)
+            assert CycVec.from_pairs(m, zero).is_zero()
+            assert CycVec.from_pairs(m, pairs + zero).is_zero() == v.is_zero()
+            assert v.is_zero() == _remainder_is_zero(v)
 
 
 def test_galois_delta_s3_worked_values():
