@@ -25,12 +25,13 @@ from .characters import (
     character_table,
     characters_of,
     conjugate_character,
+    conjugation_sources,
     decompose,
     subgroup_classes,
     trivial_character,
 )
 from .cyclotomic import Cyclotomic
-from .errors import CNotAbelianNormal, DomainMismatch, NoSolution
+from .errors import CNotAbelianNormal, CertificateFailed, DomainMismatch, NoSolution
 from .groups import (
     Group,
     QuotientMap,
@@ -347,6 +348,15 @@ def _require_abelian_normal(ambient: Subgroup, c: Subgroup) -> None:
 
 
 def orbit_data(h: Subgroup, chi: Character, c: Subgroup) -> OrbitData:
+    """S(chi), the characters of C that agree with chi on H & C, split
+    into H-conjugation orbits: t holds the least character of each orbit
+    (in the sorted order of `characters_of`) and stabilizers its
+    stabiliser in H.
+
+    Conjugation by each h is read once as a permutation of C's positions
+    (`conjugation_sources`); orbits and stabilisers are taken on exponent
+    tuples, so Characters and Subgroups are built only for what is returned.
+    """
     ambient = full_subgroup(h.parent)
     _require_abelian_normal(ambient, c)
     meet = intersection(h, c)
@@ -354,23 +364,30 @@ def orbit_data(h: Subgroup, chi: Character, c: Subgroup) -> OrbitData:
     s = tuple(
         mu for mu in characters_of(c) if mu.restrict(meet) == target
     )
-    assert len(s) * meet.order == c.order, "wrong S(chi) count"
-    s_set = set(s)
+    if len(s) * meet.order != c.order:
+        raise CertificateFailed(
+            f"S(chi) has {len(s)} characters, not (C : H & C) = "
+            f"{c.order // meet.order}",
+            witness=s,
+        )
+    s_exps = {mu.exponents for mu in s}
+    source = conjugation_sources(c, h.elements)
     reps, stabs = [], []
     seen = set()
     for mu in s:  # characters_of is sorted, so reps are minimal in orbit
-        if mu in seen:
+        exps = mu.exponents
+        if exps in seen:
             continue
-        orbit = {conjugate_character(mu, g) for g in h.elements}
-        assert orbit <= s_set
+        moved = [(g, tuple([exps[i] for i in src])) for g, src in source.items()]
+        orbit = {m for _, m in moved}
+        if not orbit <= s_exps:
+            raise CertificateFailed(
+                f"the H-orbit of {exps} leaves S(chi)",
+                witness=sorted(orbit - s_exps),
+            )
         seen.update(orbit)
         reps.append(mu)
-        stabs.append(
-            subgroup(
-                h.parent,
-                [g for g in h.elements if conjugate_character(mu, g) == mu],
-            )
-        )
+        stabs.append(subgroup(h.parent, [g for g, m in moved if m == exps]))
     return OrbitData(
         base=(h, chi), c=c, s=s, t=tuple(reps), stabilizers=tuple(stabs)
     )
@@ -395,10 +412,14 @@ def glued_character(
         for b in c.elements:
             x = parent.mul(a, b)
             k = (ka + mu.exponent_of(b) * (m // m2)) % m
-            if x in values:
-                assert values[x] == k, "glued character ill-defined"
-            else:
+            if x not in values:
                 values[x] = k
+            elif values[x] != k:
+                raise CertificateFailed(
+                    f"glued character ill-defined at {x}: exponents "
+                    f"{values[x]} and {k} mod {m}",
+                    witness=(x, values[x], k),
+                )
     exps = tuple(values[x] for x in prod.elements)
     return character(prod, m, exps)
 

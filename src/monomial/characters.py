@@ -256,6 +256,17 @@ def conjugate_character(chi: Character, g: int) -> Character:
     return Character(Subgroup(parent, elements), chi.modulus, exponents)
 
 
+def conjugation_sources(c: Subgroup, elements) -> dict[int, list[int]]:
+    """For each g of `elements` (each normalising C), the positions in
+    C.elements of g^-1 y g for y in C.elements.
+
+    The conjugate of a character mu of C by g has, at each y, mu's value at
+    g^-1 y g: its exponent tuple is mu's read at these positions, so orbits
+    and stabilisers can be taken on exponent tuples."""
+    conj, inv, pos = c.parent.conj_table, c.parent.inverses, c.position
+    return {g: [pos[conj[inv[g]][y]] for y in c.elements] for g in elements}
+
+
 def extensions_of(eta: Character, h: Subgroup) -> list[Character]:
     """All characters of H restricting to eta on eta.domain <= H."""
     return [

@@ -31,6 +31,7 @@ from .characters import (
     characters_of,
     characters_trivial_on,
     conjugate_character,
+    conjugation_sources,
     extensions_of,
     trivial_character,
 )
@@ -95,12 +96,7 @@ def _glued_reps(u: Subgroup, m: Subgroup, rep_choice: str) -> tuple:
         mu.exponents: mu
         for mu in characters_trivial_on(m, intersection(u, m))
     }
-    # the conjugate of mu by x has, at each y of M, mu's exponent at
-    # x^-1 y x: orbits and stabilisers are read on exponent tuples
-    conj, inv, pos = u.parent.conj_table, u.parent.inverses, m.position
-    source = {
-        x: [pos[conj[inv[x]][y]] for y in m.elements] for x in u.elements
-    }
+    source = conjugation_sources(m, u.elements)
 
     def moved(exps, x):
         return tuple([exps[i] for i in source[x]])
@@ -111,7 +107,11 @@ def _glued_reps(u: Subgroup, m: Subgroup, rep_choice: str) -> tuple:
         if exps in seen:
             continue
         orbit = {moved(exps, x) for x in u.elements}
-        assert orbit <= chars.keys()
+        if not orbit <= chars.keys():
+            raise CertificateFailed(
+                f"the U-orbit of {exps} leaves (M/(U & M))^*",
+                witness=sorted(orbit - chars.keys()),
+            )
         seen.update(orbit)
         pick = (min if rep_choice == "min" else max)(orbit)
         stab = subgroup(

@@ -574,12 +574,27 @@ class CycVec:
         return c
 
     def __init__(self, M: int, arr):
-        if not (isinstance(arr, _np.ndarray) and arr.dtype == _np.int64):
+        """A caller's int64 array is bounded by one max/min pass, any other
+        input coefficient by coefficient, so no entry reaches 2^62."""
+        raw = isinstance(arr, _np.ndarray) and arr.dtype == _np.int64
+        if not raw:
             checked = _np.frompyfunc(CycVec._coefficient, 1, 1)(_np.asarray(arr, dtype=object))
             arr = _np.asarray(checked, dtype=_np.int64)
         if arr.shape != (M,):
             raise ModulusMismatch(f"CycVec of shape {arr.shape} at M = {M}")
         self.M, self.arr = M, arr
+        if raw:
+            self._bound_product(1)
+
+    @classmethod
+    def _of(cls, M: int, arr) -> "CycVec":
+        """An int64 array this module computed inside the 2^62 bound, taken
+        without a coefficient pass."""
+        if arr.shape != (M,):
+            raise ModulusMismatch(f"CycVec of shape {arr.shape} at M = {M}")
+        vec = cls.__new__(cls)
+        vec.M, vec.arr = M, arr
+        return vec
 
     @staticmethod
     def from_pairs(M: int, pairs) -> "CycVec":
@@ -589,7 +604,7 @@ class CycVec:
         arr = _np.zeros(M, dtype=_np.int64)
         for e, c in sums.items():
             arr[e] = CycVec._coefficient(c)
-        return CycVec(M, arr)
+        return CycVec._of(M, arr)
 
     def _same_modulus(self, other: "CycVec") -> None:
         if self.M != other.M:
@@ -597,7 +612,7 @@ class CycVec:
 
     def __sub__(self, other: "CycVec") -> "CycVec":
         self._same_modulus(other)
-        diff = CycVec(self.M, self.arr - other.arr)
+        diff = CycVec._of(self.M, self.arr - other.arr)
         diff._bound_product(1)
         return diff
 
@@ -611,7 +626,7 @@ class CycVec:
     def scale(self, c: int) -> "CycVec":
         c = self._coefficient(c)
         self._bound_product(abs(c))
-        return CycVec(self.M, self.arr * c)
+        return CycVec._of(self.M, self.arr * c)
 
     def __mul__(self, other: "CycVec") -> "CycVec":
         self._same_modulus(other)
@@ -630,7 +645,7 @@ class CycVec:
                 (ib[rows, None] + ia[None, :]) % self.M,
                 cb[rows, None] * ca[None, :],
             )
-        return CycVec(self.M, out)
+        return CycVec._of(self.M, out)
 
     def is_zero(self) -> bool:
         primes = [p for p, _ in factorize(self.M)]
@@ -669,13 +684,13 @@ def _sqrt_vec(M: int, p: int) -> CycVec:
 
 
 def _gauss_vec(M: int, ff: FiniteField, j: int) -> CycVec:
-    return CycVec(M, _np.bincount(_gauss_indices(M, ff, j), minlength=M))
+    return CycVec._of(M, _np.bincount(_gauss_indices(M, ff, j), minlength=M))
 
 
 def _delta_vec(M: int, chi: TameChar) -> tuple[CycVec, int]:
     """The root number as (vector, k) with value vec * p^(k/2)."""
     idx, k = _root_number_indices(M, chi)
-    return CycVec(M, _np.bincount(idx, minlength=M)), k
+    return CycVec._of(M, _np.bincount(idx, minlength=M)), k
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +963,7 @@ def gauss_modulus_check(p: int, f: int) -> bool:
     M = lcm(p, max(q - 1, 1))
     for j in range(1, q - 1):
         g = _gauss_vec(M, ff, j)
-        gbar = CycVec(M, _np.concatenate(([g.arr[0]], g.arr[:0:-1])))
+        gbar = CycVec._of(M, _np.concatenate(([g.arr[0]], g.arr[:0:-1])))
         diff = g * gbar - CycVec.from_pairs(M, [(0, q)])
         if not diff.is_zero():
             return False

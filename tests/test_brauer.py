@@ -27,6 +27,7 @@ from monomial.brauer import (
 from monomial.catalog import catalog_group, catalog_names
 from monomial.characters import (
     characters_of,
+    conjugate_character,
     induce,
     irreducible_characters,
     trivial_character,
@@ -34,6 +35,8 @@ from monomial.characters import (
 from monomial.errors import CNotAbelianNormal
 from monomial.groups import (
     full_subgroup,
+    intersection,
+    normal_subgroups,
     quotient,
     subgroup,
     subgroup_class_reps,
@@ -142,6 +145,42 @@ def test_orbit_data_examples():
     assert sorted(h.order for h in data.stabilizers) == [1, 2]
     with pytest.raises(CNotAbelianNormal):
         orbit_data(triv, trivial_character(triv), c2)
+
+
+def _orbit_data_by_conjugates(h, chi, c):
+    """(s, t, stabilizers) with one conjugate Character per (mu, g): the
+    reference `orbit_data` must agree with, order included."""
+    meet = intersection(h, c)
+    target = chi.restrict(meet)
+    s = tuple(mu for mu in characters_of(c) if mu.restrict(meet) == target)
+    reps, stabs, seen = [], [], set()
+    for mu in s:
+        if mu in seen:
+            continue
+        seen.update(conjugate_character(mu, g) for g in h.elements)
+        reps.append(mu)
+        stabs.append(
+            subgroup(
+                h.parent,
+                [g for g in h.elements if conjugate_character(mu, g) == mu],
+            )
+        )
+    return s, tuple(reps), tuple(stabs)
+
+
+def test_orbit_data_matches_conjugate_characters():
+    # every catalog group, H class representative, chi in H^* and abelian
+    # normal C
+    for name in catalog_names():
+        g = catalog_group(name)
+        cs = [c for c in normal_subgroups(g) if c.as_group.is_abelian()]
+        for h in subgroup_class_reps(g):
+            for chi in characters_of(h):
+                for c in cs:
+                    data = orbit_data(h, chi, c)
+                    assert (data.s, data.t, data.stabilizers) == (
+                        _orbit_data_by_conjugates(h, chi, c)
+                    ), (name, h, chi, c)
 
 
 def test_projector_oracles():
@@ -370,4 +409,54 @@ def test_domain_refusals_hold_under_optimisation(flags, run_python):
         "induce DomainMismatch",
         "induce across groups DomainMismatch",
         "restrict DomainMismatch",
+    ]
+
+
+# Run with and without `python -O`: an S(chi) of the wrong size, an H-orbit
+# that leaves S(chi), a glued character that is ill-defined and a U-orbit
+# that leaves (M/(U & M))^* are refused with their witness.
+_ORBIT_REFUSALS = """
+from monomial import brauer, relations
+from monomial.catalog import catalog_group
+from monomial.characters import characters_of, trivial_character
+from monomial.errors import CertificateFailed
+from monomial.groups import full_subgroup, subgroup
+
+s3, c4 = catalog_group("S3"), catalog_group("C4")
+a3, c2 = subgroup(s3, [0, 1, 2]), subgroup(s3, [0, 3])
+half, whole = subgroup(c4, [0, 2]), full_subgroup(c4)
+sign, omega = characters_of(half)[1], characters_of(a3)[1]
+chars_of, sources = brauer.characters_of, brauer.conjugation_sources
+trivial_on = relations.characters_trivial_on
+
+
+def attempt(label, call):
+    try:
+        print(label, "returned", call())
+    except CertificateFailed as exc:
+        print(f"{label}: {exc}: {exc.witness}")
+
+
+brauer.characters_of = lambda c: chars_of(c)[:-1]
+attempt("count", lambda: brauer.orbit_data(half, sign, whole).s)
+brauer.characters_of = chars_of
+# every conjugate read at the identity: the trivial character, outside S(sign)
+brauer.conjugation_sources = lambda c, elements: {g: [0] * c.order for g in elements}
+attempt("orbit", lambda: brauer.orbit_data(half, sign, whole).t)
+brauer.conjugation_sources = sources
+attempt("glue", lambda: brauer.glued_character(a3, omega, a3, trivial_character(a3)))
+relations.characters_trivial_on = lambda b, k: trivial_on(b, k)[:-1]
+attempt("glued reps", lambda: relations._glued_reps(c2, a3, "min"))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_orbit_refusals_hold_under_optimisation(flags, run_python):
+    out = run_python(flags, _ORBIT_REFUSALS)
+    assert out[:4] == [
+        "count: S(chi) has 1 characters, not (C : H & C) = 2: "
+        "(Char[(0, 1, 2, 3); (0, 1, 2, 3) mod 4],)",
+        "orbit: the H-orbit of (0, 1, 2, 3) leaves S(chi): [(0, 0, 0, 0)]",
+        "glue: glued character ill-defined at 1: exponents 0 and 1 mod 3: (1, 0, 1)",
+        "glued reps: the U-orbit of (0, 1, 2) leaves (M/(U & M))^*: [(0, 2, 1)]",
     ]

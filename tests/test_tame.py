@@ -902,9 +902,10 @@ def test_modulus_refusals_hold_under_optimisation(flags, run_python):
     assert out[:7] == ["ModulusMismatch"] * 7
 
 
-# The CycVec int64 boundary: sums that wrap, entries past 2^62, scale
-# factors past 2^62 and non-integer coefficients are refused by type; sums
-# that cancel in Python integers and other integer dtypes are accepted.
+# The CycVec int64 boundary: sums that wrap, entries past 2^62 (lists or a
+# caller's int64 arrays), scale factors past 2^62 and non-integer
+# coefficients are refused by type; sums that cancel in Python integers,
+# other integer dtypes and int64 arrays inside the bound are accepted.
 _CYCVEC_BOUNDARY = """
 from fractions import Fraction
 
@@ -925,6 +926,9 @@ for attempt in (
     lambda: CycVec.from_pairs(2, [(0, 2**63), (0, -2**63), (3, 2**62 - 1)]).arr.tolist(),
     lambda: CycVec(2, np.array([3, -4], dtype=np.int32)).arr.tolist(),
     lambda: (CycVec(2, [2**62 - 1, 0]) - CycVec(2, [1, 0])).arr.tolist(),
+    lambda: CycVec(1, np.array([2**63 - 1])) - CycVec(1, np.array([-(2**63 - 1)])),
+    lambda: CycVec(2, np.array([0, -2**63])),
+    lambda: CycVec(2, np.array([2**62 - 1, 1 - 2**62])).arr.tolist(),
 ):
     try:
         print(attempt())
@@ -936,10 +940,11 @@ for attempt in (
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_cycvec_int64_boundary(flags, run_python):
     out = run_python(flags, _CYCVEC_BOUNDARY)
-    assert out[:11] == [
+    assert out[:14] == [
         "TooLarge", "TooLarge", "TooLarge", "TooLarge", "TooLarge",
         "OutOfDomain", "OutOfDomain", "TooLarge",
         f"[0, {2**62 - 1}]", "[3, -4]", f"[{2**62 - 2}, 0]",
+        "TooLarge", "TooLarge", f"[{2**62 - 1}, {1 - 2**62}]",
     ]
 
 

@@ -6,7 +6,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "monomial"
 # Internal invariants that may still be bare asserts.  A verdict must end in
 # a typed MonomialError, which `python -O` does not strip, so this count may
 # only go down.
-MAX_ASSERTS = 9
+MAX_ASSERTS = 5
 
 
 def test_bare_asserts_do_not_grow():
