@@ -3,11 +3,12 @@ finite solvable groups and the tame local constants attached to them.
 
 Modules
 -------
-intlin      exact integer linear algebra (Smith/Hermite forms, lattices)
+intlin      exact integer linear algebra (Smith normal form, lattices)
 cyclotomic  exact arithmetic in cyclotomic fields, square roots of primes
 groups      finite groups from multiplication tables, subgroup machinery
 catalog     the built-in family of small test groups
-characters  linear and irreducible characters, induction, restriction
+characters  linear characters, class functions, the integer character
+            table (induction and decomposition by class counts)
 brauer      the induced-pair ring, its character map, and projectors
 relations   the three families of basic relations and the kernel-lattice
             verification

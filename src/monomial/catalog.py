@@ -21,13 +21,16 @@ from functools import lru_cache
 from itertools import permutations
 
 from .cyclotomic import _multiplicative_order
-from .errors import ParseError
+from .errors import CertificateFailed, ParseError
 from .groups import Group, make_group, metacyclic
 
 
 def _perm_group_table(perms):
     perms = sorted(perms)
-    assert perms[0] == tuple(range(len(perms[0])))
+    if perms[0] != tuple(range(len(perms[0]))):
+        raise CertificateFailed(
+            "the permutations do not include the identity", witness=perms[0]
+        )
     index = {p: i for i, p in enumerate(perms)}
 
     def compose(p, q):

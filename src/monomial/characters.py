@@ -1,4 +1,4 @@
-"""One-dimensional characters, class functions, induction and restriction.
+"""One-dimensional characters, class functions and the character table.
 
 Characters are stored as exponent vectors: chi(x) = zeta_m^k with
 m = exp(H/[H,H]) fixed per subgroup, which makes equality and canonical
@@ -6,10 +6,12 @@ ordering cheap.  Class functions carry exact cyclotomic values per
 conjugacy class of their (sub)group.
 
 The irreducible characters live in an integer character table: values in
-Z[x]/(x^e - 1) for the group exponent e, with inner products, the zero
-test and decompositions done by the integer trace form (see
-CharacterTable).  They are converted to cyclotomic class functions and
-sorted once, on first use of that order.
+Z[x]/(x^e - 1) for the group exponent e, with induction, inner products,
+the zero test and decompositions done by class counts and the integer
+trace form (see CharacterTable).  They are converted to cyclotomic class
+functions and sorted once, on first use of that order.  This is the one
+way the package induces and decomposes; the coset formula and Cyclotomic
+inner products are test oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .cyclotomic import Cyclotomic, trace_row
-from .errors import DomainMismatch, NotASubgroup, NotMonomial
+from .errors import CertificateFailed, DomainMismatch, NotASubgroup, NotMonomial
 from .groups import (
     Group,
     QuotientMap,
@@ -61,7 +63,9 @@ def abelian_basis(a: Group) -> tuple[tuple[int, int], ...]:
             complement = h
             break
     if complement is None:  # cannot happen: maximal-order cyclic splits off
-        raise AssertionError("no complement for maximal cyclic factor")
+        raise CertificateFailed(
+            "no complement for a maximal cyclic factor", witness=(a, best)
+        )
     rest = abelian_basis(complement.as_group)
     return ((best, d),) + tuple(
         (complement.elements[g], o) for g, o in rest
@@ -72,7 +76,6 @@ def abelian_basis(a: Group) -> tuple[tuple[int, int], ...]:
 def _abelian_coordinates(a: Group) -> dict[int, tuple[int, ...]]:
     """Coordinates of every element in the abelian_basis decomposition."""
     basis = abelian_basis(a)
-    coords = {0: tuple(0 for _ in basis)}
     # iterate over the direct product of cyclic factors
     elements = [(0, tuple(0 for _ in basis))]
     for i, (gen, order) in enumerate(basis):
@@ -85,11 +88,12 @@ def _abelian_coordinates(a: Group) -> dict[int, tuple[int, ...]]:
                 new_elements.append((cur, tuple(c)))
                 cur = a.mul(cur, gen)
         elements = new_elements
-    assert len(elements) == a.order
-    coords = dict()
-    for x, c in elements:
-        assert x not in coords
-        coords[x] = c
+    coords = dict(elements)
+    if len(elements) != a.order or len(coords) != a.order:
+        raise CertificateFailed(
+            "the abelian basis does not give every element once",
+            witness=(a, basis),
+        )
     return coords
 
 
@@ -239,7 +243,11 @@ def characters_of(h: Subgroup) -> tuple[Character, ...]:
             rec(i + 1, chosen + [c])
 
     rec(0, [])
-    assert len(out) == a.order
+    if len(out) != a.order:
+        raise CertificateFailed(
+            f"{len(out)} characters for an abelianization of order {a.order}",
+            witness=(h, basis),
+        )
     return tuple(sorted(out, key=lambda ch: ch.sort_key()))
 
 
@@ -358,62 +366,6 @@ class ClassFunction:
 
     def __repr__(self):
         return f"ClassFunction({self.values})"
-
-
-def zero_class_function(domain: Subgroup) -> ClassFunction:
-    return ClassFunction(
-        domain, tuple(Cyclotomic.zero() for _ in subgroup_classes(domain))
-    )
-
-
-def character_class_function(chi: Character) -> ClassFunction:
-    dom = chi.domain
-    return ClassFunction(
-        dom,
-        tuple(
-            chi.value(cls[0]) for cls in subgroup_classes(dom)
-        ),
-    )
-
-
-def restrict_class_function(f: ClassFunction, k: Subgroup) -> ClassFunction:
-    if not f.domain.contains_subgroup(k):
-        raise NotASubgroup(f"{k} not contained in {f.domain}")
-    return ClassFunction(
-        k, tuple(f.value_at(cls[0]) for cls in subgroup_classes(k))
-    )
-
-
-def inner_product(a: ClassFunction, b: ClassFunction) -> Cyclotomic:
-    _require_same_domain(a.domain, b.domain, "inner product")
-    total = Cyclotomic.zero()
-    for cls, va, vb in zip(subgroup_classes(a.domain), a.values, b.values):
-        total = total + len(cls) * va * vb.conjugate()
-    return total * Fraction(1, a.domain.order)
-
-
-@lru_cache(maxsize=None)
-def induce(chi: Character, target: Subgroup) -> ClassFunction:
-    """Ind_H^T(chi) by the standard coset formula, exactly."""
-    return induce_class_function(character_class_function(chi), target)
-
-
-def induce_class_function(f: ClassFunction, target: Subgroup) -> ClassFunction:
-    h = f.domain
-    if not target.contains_subgroup(h):
-        raise NotASubgroup(f"{h} not contained in {target}")
-    parent = h.parent
-    values = []
-    hset = h.element_set
-    for cls in subgroup_classes(target):
-        g0 = cls[0]
-        total = Cyclotomic.zero()
-        for x in target.elements:
-            y = parent.mul(parent.mul(parent.inv(x), g0), x)
-            if y in hset:
-                total = total + f.value_at(y)
-        values.append(total * Fraction(1, h.order))
-    return ClassFunction(target, tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +527,15 @@ class CharacterTable:
                 for i, n in self._induced_counts(chi).items():
                     f[i], r = divmod(n, h.order)
                     if r:
-                        raise AssertionError("induced character is not integral")
+                        raise CertificateFailed(
+                            "induced character is not integral", witness=(h, chi)
+                        )
                 for vec, dual in zip(vectors, duals):
                     coeff, r = divmod(_dot(f, dual), self.scale)
                     if r:
-                        raise AssertionError("non-integral multiplicity")
+                        raise CertificateFailed(
+                            "non-integral multiplicity", witness=(h, chi)
+                        )
                     if coeff:
                         f = [x - coeff * y for x, y in zip(f, vec)]
                 dual = _dual_row(f, self.sizes, self.trace)

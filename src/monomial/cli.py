@@ -151,6 +151,20 @@ def _int_param(check_name: str, params: dict[str, str], key: str) -> int:
         ) from None
 
 
+def _bool_param(check_name: str, params: dict[str, str], key: str) -> bool:
+    """A key=value flag, false when absent: true/1/yes or false/0/no in any
+    case; any other value is refused, naming the token."""
+    value = params.get(key, "false")
+    if value.lower() in ("true", "1", "yes"):
+        return True
+    if value.lower() in ("false", "0", "no"):
+        return False
+    raise click.ClickException(
+        f"check {check_name} needs {key}=true/false/1/0/yes/no, "
+        f"got {key + '=' + value!r}"
+    )
+
+
 def _group_targets(name: str | None, max_order: int | None):
     if name is not None:
         return [(os.path.basename(name), _resolve_group(name))]
@@ -527,7 +541,7 @@ def _campaign_check(check_name, params, targets, lines) -> bool:
     elif check_name == "dh1":
         p, f = _parse_prime_power(_int_param(check_name, params, "q"))
         ell = _int_param(check_name, params, "ell")
-        ramified = params.get("ramified", "false").lower() in ("true", "1", "yes")
+        ramified = _bool_param(check_name, params, "ramified")
         report = dh1_sweep(p, f, ell, ramified)
         lines.append(
             f"dh1 q={params['q']} ell={params['ell']} ramified={ramified} "

@@ -180,9 +180,6 @@ class Cyclotomic:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
-
     def as_rational(self) -> Fraction:
         if not self.coeffs:
             return Fraction(0)
@@ -390,11 +387,3 @@ def sqrt_prime(p: int) -> Cyclotomic:
         return g
     # g / i = g * zeta_4^3
     return g.promote(lcm(p, 4)) * Cyclotomic.root_of_unity(4, 3)
-
-
-def sqrt_prime_power(p: int, f: int) -> Cyclotomic:
-    """Exact sqrt(p**f)."""
-    whole = Cyclotomic.from_rational(p ** (f // 2))
-    if f % 2:
-        return whole * sqrt_prime(p)
-    return whole

@@ -28,6 +28,7 @@ from types import MappingProxyType
 from .brauer import (
     PairClass,
     RPlusElement,
+    _ambient_table,
     kernel_basis,
     pair_class,
     pair_classes,
@@ -38,8 +39,7 @@ from .characters import (
     Character,
     ClassFunction,
     characters_trivial_on,
-    irreducible_characters,
-    subgroup_classes,
+    trivial_character,
 )
 from .errors import (
     CertificateFailed,
@@ -55,8 +55,6 @@ from .groups import (
     commutator_subgroup,
     full_subgroup,
     is_normal,
-    quotient,
-    subgroup,
     subgroup_class_reps,
 )
 from .relations import (
@@ -549,20 +547,20 @@ def extend(
 
 
 def irreducibles_mod_derived(h: Subgroup, n: Subgroup) -> list[ClassFunction]:
-    """The irreducible characters of H/[N,N] as class functions on H."""
-    inner = h.as_group
-    pos = {x: i for i, x in enumerate(h.elements)}
-    n_inner = subgroup(inner, [pos[x] for x in n.elements])
-    dn = commutator_subgroup(n_inner, n_inner)
-    qm = quotient(inner, dn)
-    out = []
-    for f in irreducible_characters(qm.quotient):
-        values = tuple(
-            f.value_at(qm.project(pos[cls[0]]))
-            for cls in subgroup_classes(h)
-        )
-        out.append(ClassFunction(h, values))
-    return out
+    """The irreducible characters of H/[N,N] as class functions on H.
+
+    They are the rows chi of H's own character table (the one
+    `presentation` reads) that are trivial on [N,N], which is to say
+    <Ind_[N,N]^H 1, chi> = chi(1); in the canonical order."""
+    table, label = _ambient_table(h)
+    derived = commutator_subgroup(n, n)
+    counts = table.induced_coordinates(trivial_character(derived), label)
+    kept = {i for i, vec in enumerate(table.vectors) if counts[i] == vec[0]}
+    return [
+        ClassFunction(h, f.values)
+        for i, f in zip(table.order, table.characters)
+        if i in kept
+    ]
 
 
 def uniqueness_check(ext1: Extension, ext2: Extension) -> bool:

@@ -523,16 +523,6 @@ def minimal_normal_subgroups(g: Group) -> list[Subgroup]:
     ]
 
 
-def minimal_abelian_normal_subgroups(g: Group) -> list[Subgroup]:
-    """Minimal among nontrivial abelian normal subgroups.
-
-    For solvable groups the minimal normal subgroups are elementary
-    abelian, so this coincides with minimal_normal_subgroups; kept
-    explicit because the lambda recursion is specified that way.
-    """
-    return [n for n in minimal_normal_subgroups(g) if n.as_group.is_abelian()]
-
-
 @lru_cache(maxsize=None)
 def maximal_subgroups(g: Group) -> tuple[Subgroup, ...]:
     proper = [h for h in all_subgroups(g) if h.order < g.order]

@@ -4,10 +4,10 @@ All matrices are lists of lists of Python ints (arbitrary precision).  The
 pivoting rule is deterministic -- smallest nonzero absolute value, ties broken
 row-major -- so certificates are reproducible across runs.
 
-`Lattice` serves the kernel-lattice verdict.  `in_lattice`, `lattice_rank`,
-`lattice_equal` and `mat_mul` have no caller in the package: they are kept
-only as test oracles, `lattice_equal` deciding lattice equality by mutual
-membership, independently of the verdict's saturation argument.
+`Lattice` serves the kernel-lattice verdict: one Smith normal form answers
+its rank, its saturation and every membership test.  Lattice equality by
+mutual membership, the independent check of the verdict's saturation
+argument, is a test oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -17,21 +17,6 @@ from dataclasses import dataclass
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    if not a:
-        return []
-    cols_b = len(b[0]) if b else 0
-    out = [[0] * cols_b for _ in range(len(a))]
-    for i, row in enumerate(a):
-        for k, aik in enumerate(row):
-            if aik:
-                brow = b[k]
-                orow = out[i]
-                for j in range(cols_b):
-                    orow[j] += aik * brow[j]
-    return out
 
 
 def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
@@ -218,27 +203,3 @@ class Lattice:
     def is_saturated(self) -> bool:
         """Z^n / span is torsion-free: every nonzero elementary divisor is 1."""
         return self.snf is None or all(abs(d) <= 1 for d in self.snf.diagonal)
-
-
-def in_lattice(basis: list[list[int]], vector: list[int]) -> bool:
-    """Is `vector` an integer combination of the rows of `basis`?"""
-    return vector in Lattice(basis)
-
-
-def lattice_rank(basis: list[list[int]]) -> int:
-    return Lattice(basis).rank
-
-
-def lattice_equal(
-    basis_a: list[list[int]], basis_b: list[list[int]]
-) -> tuple[bool, list[list[int]]]:
-    """Decide span_Z(basis_a) == span_Z(basis_b) by mutual membership.
-
-    Returns (equal, vectors of basis_a not contained in span(basis_b)).
-    """
-    span_b = Lattice(basis_b)
-    missing = [row for row in basis_a if row not in span_b]
-    if missing:
-        return False, missing
-    span_a = Lattice(basis_a)
-    return all(row in span_a for row in basis_b), missing

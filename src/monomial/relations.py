@@ -6,7 +6,10 @@ both loop over its records, which are built once per (G, N, kind) and
 shared.  Each relation is an explicit element of Ker(phi) built inside a
 subgroup B and pushed up by induction; its kernel check reads one cached
 phi column per pair class.  The headline verifier compares the integer
-lattice they span with the full kernel computed by linear algebra.
+lattice they span with the full kernel computed by linear algebra, by one
+saturation argument; lattice equality by mutual membership and the xi-block
+split of an R+ element by the orbit of its restriction to N are test
+oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .characters import (
     Character,
     characters_of,
     characters_trivial_on,
-    conjugate_character,
     conjugation_sources,
     extensions_of,
     trivial_character,
@@ -351,70 +353,6 @@ def basic_relations(
     if "III" in kinds:
         out.extend(gen_type_III(g, n))
     return out
-
-
-# ---------------------------------------------------------------------------
-# xi blocks
-
-
-@dataclass(frozen=True)
-class XiBlock:
-    n: Subgroup
-    orbit: tuple[Character, ...]  # the full conjugation orbit, sorted
-    component: RPlusElement
-
-
-def _orbit_of_restriction(g: Group, n: Subgroup, chi: Character):
-    mu = chi.restrict(n)
-    orbit = {conjugate_character(mu, x) for x in range(g.order)}
-    return tuple(sorted(orbit, key=lambda m: m.exponents))
-
-
-def xi_decompose(x: RPlusElement, n: Subgroup) -> list[XiBlock]:
-    """Split x by the conjugation orbit of the restriction to N."""
-    g = x.ambient.parent
-    blocks: dict[tuple, list] = {}
-    orbits: dict[tuple, tuple] = {}
-    for cls, coeff in x.coefficients:
-        orbit = _orbit_of_restriction(g, n, cls.char)
-        key = tuple(m.exponents for m in orbit)
-        blocks.setdefault(key, []).append((cls, coeff))
-        orbits[key] = orbit
-    return [
-        XiBlock(
-            n=n,
-            orbit=orbits[key],
-            component=rplus(x.ambient, n, items),
-        )
-        for key, items in sorted(blocks.items())
-    ]
-
-
-def stabilizer_of(mu: Character) -> Subgroup:
-    g = mu.domain.parent
-    return subgroup(
-        g, [x for x in range(g.order) if conjugate_character(mu, x) == mu]
-    )
-
-
-def mu_component(x: RPlusElement, mu: Character) -> RPlusElement:
-    """The component of x over the stabilizer of mu: each class [H,chi]
-    with chi|_N in the orbit of mu is conjugated so the restriction is
-    exactly mu; the result lives in R+(N <= Omega_mu)."""
-    n = mu.domain
-    g = x.ambient.parent
-    omega_mu = stabilizer_of(mu)
-    items = []
-    for cls, coeff in x.coefficients:
-        orbit = _orbit_of_restriction(g, n, cls.char)
-        if mu not in orbit:
-            continue
-        for t in range(g.order):
-            moved = conjugate_character(cls.char, t)
-            if moved.restrict(n) == mu:
-                items.append((pair_class(moved.domain, moved, omega_mu), coeff))
-                break
-    return rplus(omega_mu, n, items)
 
 
 # ---------------------------------------------------------------------------

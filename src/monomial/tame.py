@@ -104,7 +104,9 @@ class FiniteField:
             coeffs = self._decode(enc) + [1]
             if _is_irreducible(coeffs, p):
                 return tuple(coeffs)
-        raise AssertionError("no irreducible polynomial found")
+        raise CertificateFailed(
+            "no irreducible polynomial found", witness=(p, f)
+        )
 
     def _power_sums(self) -> tuple[int, ...]:
         """Tr(x^i) for i < f: the power sums s_i of the modulus's roots,
@@ -217,7 +219,9 @@ class FiniteField:
                 acc = big.add(big.mul(acc, alpha), c % self.p)
             if acc == 0:
                 return alpha
-        raise AssertionError("no embedding root found")
+        raise CertificateFailed(
+            "no embedding root found", witness=(self.modulus, big.modulus)
+        )
 
     def embed(self, x: int, big: "FiniteField", root: int | None = None) -> int:
         if root is None:

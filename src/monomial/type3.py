@@ -269,5 +269,9 @@ def _cocycle_counts(h: Subgroup, c: Subgroup, cap: int) -> tuple[int, int]:
     coboundaries = {
         tuple(t[a][inv[conj[x][a]]] for x in h.elements) for a in c.elements
     }
-    assert n_cocycles % len(coboundaries) == 0
+    if n_cocycles % len(coboundaries):
+        raise CertificateFailed(
+            "the cocycles do not split into cosets of the coboundaries",
+            witness=(h, c, n_cocycles, len(coboundaries)),
+        )
     return n_cocycles, len(coboundaries)

@@ -6,11 +6,13 @@ import pytest
 
 
 def _run_python(flags, code):
-    """Stdout lines of `code` run in a fresh interpreter with `flags`."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    """Stdout lines of `code` run in a fresh interpreter with `flags`; the
+    package and the test oracles (`tests/oracles.py`) are importable."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(here, os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+        [os.path.abspath(src), here] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     return subprocess.run(
         [sys.executable, *flags, "-c", code],

@@ -18,11 +18,8 @@ from monomial.characters import (
     character_table,
     characters_of,
     decompose,
-    induce,
-    inner_product,
     irreducible_characters,
     subgroup_classes,
-    zero_class_function,
 )
 from monomial.cyclotomic import Cyclotomic
 from monomial.groups import (
@@ -31,6 +28,7 @@ from monomial.groups import (
     subgroup_class_reps,
     trivial_subgroup,
 )
+from oracles import induce, inner_product, zero_class_function
 
 ORACLE_GROUPS = ("S3", "D4", "Q8", "A4", "S4", "C12", "Heisenberg27", "F7_6")
 

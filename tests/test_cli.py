@@ -285,6 +285,20 @@ def test_input_errors_name_the_bad_token(tmp_path):
         assert token in lines[0]
 
 
+def test_campaign_flag_takes_only_boolean_spellings(tmp_path):
+    # a malformed flag is refused by name, never read as false
+    path = tmp_path / "c.txt"
+    path.write_text("check dh1 q=5 ell=2 ramified=maybe\n")
+    line = _one_error_line(run("campaign", "run", str(path)))
+    assert "'ramified=maybe'" in line
+    for value, read in (("TRUE", True), ("Yes", True), ("1", True),
+                        ("false", False), ("NO", False), ("0", False)):
+        path.write_text(f"check dh1 q=5 ell=2 ramified={value}\n")
+        result = run("campaign", "run", str(path))
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith(f"dh1 q=5 ell=2 ramified={read} ok=True")
+
+
 def test_campaign_empty_passes(tmp_path):
     camp = tmp_path / "empty.txt"
     camp.write_text("# nothing to do\n\n")

@@ -18,9 +18,9 @@ from monomial.cyclotomic import (
     _poly_rem,
     factorize,
     sqrt_prime,
-    sqrt_prime_power,
     trace_row,
 )
+from oracles import is_one, sqrt_prime_power
 
 
 def zeta(m, k=1):
@@ -32,9 +32,9 @@ def random_elt(rng, m):
 
 
 def test_roots_of_unity_basics():
-    assert zeta(1).is_one()
+    assert is_one(zeta(1))
     assert (zeta(4) * zeta(4)) == Cyclotomic.from_rational(-1)
-    assert (zeta(3) * zeta(3) * zeta(3)).is_one()
+    assert is_one(zeta(3) * zeta(3) * zeta(3))
     # 1 + z3 + z3^2 = 0
     assert (1 + zeta(3) + zeta(3, 2)).is_zero()
     # full sum of m-th roots vanishes for m > 1

@@ -13,11 +13,9 @@ from monomial.brauer import (
 )
 from monomial.catalog import catalog_group, catalog_names
 from monomial.characters import (
-    character_class_function,
     characters_of,
     characters_trivial_on,
     conjugate_character,
-    induce,
     irreducible_characters,
     trivial_character,
 )
@@ -49,12 +47,19 @@ from monomial.groups import (
     full_subgroup,
     intersection,
     is_normal,
+    normal_subgroups,
     product_set,
     subgroup,
+    subgroup_class_reps,
     trivial_subgroup,
 )
 from monomial.relations import configurations
 from monomial.tame import galois_delta
+from oracles import (
+    character_class_function,
+    induce,
+    irreducibles_mod_derived_by_quotient,
+)
 
 
 def test_free_abelian_group():
@@ -236,6 +241,25 @@ def test_irreducibles_mod_derived():
     assert len(irreducibles_mod_derived(full_subgroup(s3), a3)) == 3
     # A3/[A3,A3] = A3: three linear characters
     assert len(irreducibles_mod_derived(a3, a3)) == 3
+
+
+def test_irreducibles_mod_derived_match_the_quotient_table():
+    # the rows of H's table trivial on [N,N] against the irreducibles of
+    # the quotient H/[N,N], inflated, on every catalog (G, N, H >= N)
+    cases = 0
+    for name in catalog_names():
+        g = catalog_group(name)
+        for n in normal_subgroups(g):
+            for h in subgroup_class_reps(g):
+                if not h.contains_subgroup(n):
+                    continue
+                got = irreducibles_mod_derived(h, n)
+                assert all(f.domain == h for f in got)
+                assert Counter(f.sort_key() for f in got) == Counter(
+                    f.sort_key() for f in irreducibles_mod_derived_by_quotient(h, n)
+                ), (name, n.elements, h.elements)
+                cases += 1
+    assert cases == 283
 
 
 def _link_verdicts(g, delta) -> Counter:

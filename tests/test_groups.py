@@ -18,13 +18,13 @@ from monomial.groups import (
     load_group,
     make_group,
     maximal_subgroups,
-    minimal_abelian_normal_subgroups,
     normal_subgroups,
     quotient,
     subgroup,
     subgroups,
     trivial_subgroup,
 )
+from oracles import minimal_abelian_normal_subgroups
 
 
 def test_load_trivial_group():

@@ -21,15 +21,19 @@ from monomial.groups import (
     subgroup,
     trivial_subgroup,
 )
-from monomial.intlin import in_lattice, lattice_equal, lattice_rank
 from monomial.relations import (
     basic_relations,
     gen_type_I,
     gen_type_II,
     gen_type_III,
-    mu_component,
     type_iii_configurations,
     verify_theorem_2_7,
+)
+from oracles import (
+    in_lattice,
+    lattice_equal,
+    lattice_rank,
+    mu_component,
     xi_decompose,
 )
 
@@ -346,6 +350,7 @@ from monomial.catalog import catalog_group
 from monomial.characters import characters_of
 from monomial.errors import CertificateFailed
 from monomial.groups import full_subgroup, subgroup
+from oracles import lattice_rank
 
 g = catalog_group("D4")
 n = subgroup(g, [0, 1, 2, 3])
@@ -355,7 +360,7 @@ rank = len(kernel_basis(g, n))
 vecs = [coordinates(r.element, n) for r in real]
 drop = next(
     i for i in range(len(real))
-    if intlin.lattice_rank(vecs[:i] + vecs[i + 1:]) < rank
+    if lattice_rank(vecs[:i] + vecs[i + 1:]) < rank
 )
 rest = real[:drop] + real[drop + 1:]
 for chi in characters_of(full)[1:]:

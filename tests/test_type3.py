@@ -274,6 +274,38 @@ def test_wrong_complement_fails_the_certificate(flags, run_python):
     ]
 
 
+# Run with and without `python -O`: cocycles that do not fall into whole
+# cosets of the coboundaries (here, only the first generator assignment is
+# enumerated, so one cocycle against three coboundaries) fail the count
+# with (H, C, cocycles, coboundaries) as the witness.
+_SPLIT_COCYCLES = """
+import itertools
+import sys
+from monomial import type3
+from monomial.catalog import catalog_group
+from monomial.errors import CertificateFailed
+from monomial.groups import subgroup
+
+s3 = catalog_group("S3")
+type3.product = lambda *args, **kw: itertools.islice(itertools.product(*args, **kw), 1)
+print("optimize", sys.flags.optimize)
+try:
+    print("returned", type3.h1_trivial(subgroup(s3, [0, 3]), subgroup(s3, [0, 1, 2])))
+except CertificateFailed as exc:
+    print(exc, exc.witness)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_cocycle_coset_split_is_checked(flags, run_python):
+    out = run_python(flags, _SPLIT_COCYCLES)
+    assert out[:2] == [
+        f"optimize {len(flags)}",
+        "the cocycles do not split into cosets of the coboundaries "
+        "(Subgroup(0, 3), Subgroup(0, 1, 2), 1, 3)",
+    ]
+
+
 def test_verdict_is_the_certificate_census_and_h1():
     for name in ("S3", "S4", "A4", "C5", "D4", "F7_6"):
         g = catalog_group(name)
