@@ -243,7 +243,9 @@ def brauer_map(x: RPlusElement) -> ClassFunction:
         for i, count in table._induced_counts(cls.char, label).items():
             q, r = divmod(count, h)
             if r:
-                raise ArithmeticError("induced character is not integral")
+                raise CertificateFailed(
+                    "induced character is not integral", witness=cls
+                )
             total[i] += n * q
     return ClassFunction(
         x.ambient,

@@ -475,7 +475,10 @@ class CharacterTable:
         for dual in self.duals:
             q, r = divmod(sum(dual[i] * n for i, n in counts), den)
             if r:
-                raise ArithmeticError("induced character has a non-integral coordinate")
+                raise CertificateFailed(
+                    "induced character has a non-integral coordinate",
+                    witness=chi,
+                )
             out.append(q)
         return out
 

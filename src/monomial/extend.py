@@ -4,12 +4,12 @@ A Delta-function assigns a value in an abelian group to every pair class
 [H, chi] with H above a fixed normal subgroup N.  Three families of
 product identities are exactly the obstruction; each is read off the
 records of one relation family from `relations.configurations`, the
-single source that also builds the relations.  Those records, the glued
+single source that also builds the relations.  Those records are built
+once per block of their subgroup B and shared by every N; they, the glued
 orbit representatives of the lambda recursion and the phi columns of the
-kernel check are built once per key and shared with `relations`.  When
-the identities hold, the lambda recursion below produces a well-defined
-multiplicative extension to arbitrary virtual characters, certified on
-the kernel generators.
+kernel check are shared with `relations`.  When the identities hold, the
+lambda recursion below produces a well-defined multiplicative extension
+to arbitrary virtual characters, certified on the kernel generators.
 
 Delta and lambda serve the subgroups of one group, the Delta function's,
 so their lookups are keyed by element tuples: Delta values by (H, chi's

@@ -2,14 +2,16 @@
 
 `configurations(g, n, kind)` is the single source of the instances of each
 family: the relations here and the compatibility conditions in `extend`
-both loop over its records, which are built once per (G, N, kind) and
-shared.  Each relation is an explicit element of Ker(phi) built inside a
-subgroup B and pushed up by induction; its kernel check reads one cached
-phi column per pair class.  The headline verifier compares the integer
-lattice they span with the full kernel computed by linear algebra, by one
-saturation argument; lattice equality by mutual membership and the xi-block
-split of an R+ element by the orbit of its restriction to N are test
-oracles (`tests/oracles.py`).
+both loop over its records.  A configuration depends on N only through its
+floor subgroup (K, Z or the core K), which must contain N, so the records
+of each (B, floor) block are built once and shared by every N.  Each
+relation is an explicit element of Ker(phi) built inside a subgroup B and
+pushed up by induction; its kernel check reads one cached phi column per
+pair class.  The headline verifier compares the integer lattice they span
+with the full kernel computed by linear algebra, by one saturation
+argument; the enumeration per N, lattice equality by mutual membership and
+the xi-block split of an R+ element by the orbit of its restriction to N
+are test oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -166,96 +168,124 @@ class Configuration:
 
 @lru_cache(maxsize=None)
 def configurations(g: Group, n: Subgroup, kind: str) -> tuple[Configuration, ...]:
-    """Every configuration of family kind ("I", "II" or "III") whose
-    subgroups contain N, with B over the subgroup class representatives;
-    enumerated once per (G, N, kind)."""
-    family = {"I": _type_I, "II": _type_II, "III": _type_III}[kind]
+    """Every configuration of family kind ("I", "II" or "III") whose floor
+    (K, Z or the core K) contains N, with B over the subgroup class
+    representatives; any other kind is refused with ParseError.  A block of
+    configurations depends on B and its own subgroups only, so it is built
+    once and shared by every N whose floor test it passes."""
+    family = {"I": _type_I, "II": _type_II, "III": _type_III}.get(kind)
+    if family is None:
+        raise ParseError(f"relation kind {kind!r} is not I, II or III")
     return tuple(
         cfg for b in subgroup_class_reps(g) for cfg in family(g, n, b)
     )
 
 
 def _type_I(g: Group, n: Subgroup, b: Subgroup):
-    """K normal of prime index in B with K >= N; one per chi in B^*."""
+    """The type I blocks of B whose K contains N."""
     for k in _subgroups_of(g, b):
-        index = b.order // k.order
-        if not (
-            _is_prime(index)
+        if (
+            _is_prime(b.order // k.order)
             and k.contains_subgroup(n)
             and _is_normal_in(b, k)
         ):
-            continue
-        rel_chars = characters_trivial_on(b, k)
-        if len(rel_chars) != index:
-            raise CertificateFailed(
-                "(B/K)^* does not have (B:K) characters", witness=(b, k)
-            )
-        for chi in characters_of(b):
-            yield Configuration(
-                "I", b, (k, chi), (("K", k), ("chi", chi)),
-                head=(k, chi.restrict(k)),
-                terms=tuple((b, mu, chi.mul(mu)) for mu in rel_chars),
-            )
+            yield from _type_I_at(b, k)
+
+
+@lru_cache(maxsize=None)
+def _type_I_at(b: Subgroup, k: Subgroup) -> tuple[Configuration, ...]:
+    """K normal of prime index in B; one per chi in B^*."""
+    index = b.order // k.order
+    rel_chars = characters_trivial_on(b, k)
+    if len(rel_chars) != index:
+        raise CertificateFailed(
+            "(B/K)^* does not have (B:K) characters", witness=(b, k)
+        )
+    return tuple(
+        Configuration(
+            "I", b, (k, chi), (("K", k), ("chi", chi)),
+            head=(k, chi.restrict(k)),
+            terms=tuple((b, mu, chi.mul(mu)) for mu in rel_chars),
+        )
+        for chi in characters_of(b)
+    )
 
 
 def _type_II(g: Group, n: Subgroup, b: Subgroup):
-    """Z >= N in B with B/Z elementary abelian of order l^2 (so Z >= [B,B]
-    and Z is normal) and [B,B]/[Z,B] of order l; one per character eta of
-    Z that kills [Z,B] but not [B,B]."""
+    """The type II blocks of B whose Z contains N."""
     bb = commutator_subgroup(b, b)
-    subs = _subgroups_of(g, b)
-    for z in subs:
+    for z in _subgroups_of(g, b):
         index = b.order // z.order
         ell = round(index**0.5)
-        if not (
+        if (
             ell * ell == index
             and _is_prime(ell)
             and z.contains_subgroup(n)
             and z.contains_subgroup(bb)
             and all(g.power(x, ell) in z.element_set for x in b.elements)
         ):
-            continue
-        zb = commutator_subgroup(z, b)
-        if bb.order != zb.order * ell:
-            continue
-        mids = [
-            h
-            for h in subs
-            if h.order == z.order * ell and h.contains_subgroup(z)
-        ]
-        if len(mids) != ell + 1:
-            raise CertificateFailed(
-                "B/Z does not have l + 1 subgroups of order l", witness=(b, z)
-            )
-        for eta in characters_of(z):
-            if all(eta.exponent_of(x) == 0 for x in zb.elements) and any(
-                eta.exponent_of(x) != 0 for x in bb.elements
-            ):
-                options = [(h, e) for h in mids for e in extensions_of(eta, h)]
-                yield Configuration(
-                    "II", b, (z, eta), (("Z", z), ("eta", eta)),
-                    options=tuple(options),
-                )
+            yield from _type_II_at(b, z)
+
+
+@lru_cache(maxsize=None)
+def _type_II_at(b: Subgroup, z: Subgroup) -> tuple[Configuration, ...]:
+    """Z in B with B/Z elementary abelian of order l^2 (so Z >= [B,B] and
+    Z is normal) and [B,B]/[Z,B] of order l; one per character eta of Z
+    that kills [Z,B] but not [B,B].  Empty when [B,B]/[Z,B] has another
+    order."""
+    ell = round((b.order // z.order) ** 0.5)
+    bb = commutator_subgroup(b, b)
+    zb = commutator_subgroup(z, b)
+    if bb.order != zb.order * ell:
+        return ()
+    mids = [
+        h
+        for h in _subgroups_of(b.parent, b)
+        if h.order == z.order * ell and h.contains_subgroup(z)
+    ]
+    if len(mids) != ell + 1:
+        raise CertificateFailed(
+            "B/Z does not have l + 1 subgroups of order l", witness=(b, z)
+        )
+    return tuple(
+        Configuration(
+            "II", b, (z, eta), (("Z", z), ("eta", eta)),
+            options=tuple(
+                (h, e) for h in mids for e in extensions_of(eta, h)
+            ),
+        )
+        for eta in characters_of(z)
+        if all(eta.exponent_of(x) == 0 for x in zb.elements)
+        and any(eta.exponent_of(x) != 0 for x in bb.elements)
+    )
 
 
 def _type_III(g: Group, n: Subgroup, b: Subgroup):
-    """H maximal non-normal in B with core K >= N and its normal complement
-    C; one per chi in B^*, with mu over H-orbit representatives of (C/K)^*."""
+    """The type III blocks of B whose core K contains N."""
     for h, k, c in type_iii_configurations(b):
-        if not k.contains_subgroup(n):
-            continue
-        glued = _glued_reps(h, c, "min")
-        for chi in characters_of(b):
-            yield Configuration(
-                "III", b, (h, k, c, chi), (("H", h), ("C", c), ("chi", chi)),
-                head=(h, chi.restrict(h)),
-                terms=tuple(
-                    (u, nu, chi.restrict(u).mul(nu)) for u, nu in glued
-                ),
-            )
+        if k.contains_subgroup(n):
+            yield from _type_III_at(b, h, k, c)
 
 
-def type_iii_configurations(b: Subgroup):
+@lru_cache(maxsize=None)
+def _type_III_at(
+    b: Subgroup, h: Subgroup, k: Subgroup, c: Subgroup
+) -> tuple[Configuration, ...]:
+    """H maximal non-normal in B with core K and its normal complement C;
+    one per chi in B^*, with mu over H-orbit representatives of (C/K)^*."""
+    glued = _glued_reps(h, c, "min")
+    return tuple(
+        Configuration(
+            "III", b, (h, k, c, chi), (("H", h), ("C", c), ("chi", chi)),
+            head=(h, chi.restrict(h)),
+            terms=tuple((u, nu, chi.restrict(u).mul(nu)) for u, nu in glued),
+        )
+        for chi in characters_of(b)
+    )
+
+
+@lru_cache(maxsize=None)
+def type_iii_configurations(b: Subgroup) -> tuple:
     """(H, K, C) triples in B: H maximal non-normal, K its core in B, C
     the unique normal subgroup with HC = B and H & C = K."""
     g = b.parent
@@ -277,7 +307,7 @@ def type_iii_configurations(b: Subgroup):
                 "complement is not unique", witness=(b, h, tuple(candidates))
             )
         out.append((h, k, candidates[0]))
-    return out
+    return tuple(out)
 
 
 def _check_heisenberg_irreducible(b: Subgroup, ext: Character) -> None:

@@ -11,6 +11,8 @@ an agreement test can catch a fault in either:
   verdict's saturation argument;
 * xi blocks: an element of R+ split by the conjugation orbit of the
   restriction to N, from one Character per conjugate;
+* the relation configurations and basic relations of each (G, N), built
+  afresh for that N, against the blocks the package shares across N;
 * the irreducibles of H/[N,N] from the quotient's own character table,
   against the rows of H's table that are trivial on [N,N];
 * minimal abelian normal subgroups, sqrt(p^f) and the test x == 1.
@@ -24,26 +26,38 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from monomial import relations
 from monomial.brauer import RPlusElement, pair_class, rplus
 from monomial.characters import (
     Character,
     ClassFunction,
     _require_same_domain,
+    characters_of,
+    characters_trivial_on,
     conjugate_character,
+    extensions_of,
     irreducible_characters,
     subgroup_classes,
 )
-from monomial.cyclotomic import Cyclotomic, sqrt_prime
-from monomial.errors import NotASubgroup
+from monomial.cyclotomic import Cyclotomic, _is_prime, sqrt_prime
+from monomial.errors import CertificateFailed, NotASubgroup
 from monomial.groups import (
     Group,
     Subgroup,
     commutator_subgroup,
+    full_subgroup,
     minimal_normal_subgroups,
     quotient,
     subgroup,
+    subgroup_class_reps,
 )
 from monomial.intlin import Lattice
+from monomial.relations import (
+    Configuration,
+    _glued_reps,
+    _is_normal_in,
+    _subgroups_of,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +245,121 @@ def mu_component(x: RPlusElement, mu: Character) -> RPlusElement:
                 items.append((pair_class(moved.domain, moved, omega_mu), coeff))
                 break
     return rplus(omega_mu, n, items)
+
+
+# ---------------------------------------------------------------------------
+# relation configurations per N
+
+
+def configurations(g: Group, n: Subgroup, kind: str) -> tuple:
+    """Every configuration of family kind whose floor contains N, built
+    afresh for this N: the floor test sits inside each family's loop."""
+    family = {"I": _type_I, "II": _type_II, "III": _type_III}[kind]
+    return tuple(
+        cfg for b in subgroup_class_reps(g) for cfg in family(g, n, b)
+    )
+
+
+def _type_I(g: Group, n: Subgroup, b: Subgroup):
+    """K normal of prime index in B with K >= N; one per chi in B^*."""
+    for k in _subgroups_of(g, b):
+        index = b.order // k.order
+        if not (
+            _is_prime(index)
+            and k.contains_subgroup(n)
+            and _is_normal_in(b, k)
+        ):
+            continue
+        rel_chars = characters_trivial_on(b, k)
+        if len(rel_chars) != index:
+            raise CertificateFailed(
+                "(B/K)^* does not have (B:K) characters", witness=(b, k)
+            )
+        for chi in characters_of(b):
+            yield Configuration(
+                "I", b, (k, chi), (("K", k), ("chi", chi)),
+                head=(k, chi.restrict(k)),
+                terms=tuple((b, mu, chi.mul(mu)) for mu in rel_chars),
+            )
+
+
+def _type_II(g: Group, n: Subgroup, b: Subgroup):
+    """Z >= N in B with B/Z elementary abelian of order l^2 (so Z >= [B,B]
+    and Z is normal) and [B,B]/[Z,B] of order l; one per character eta of
+    Z that kills [Z,B] but not [B,B]."""
+    bb = commutator_subgroup(b, b)
+    subs = _subgroups_of(g, b)
+    for z in subs:
+        index = b.order // z.order
+        ell = round(index**0.5)
+        if not (
+            ell * ell == index
+            and _is_prime(ell)
+            and z.contains_subgroup(n)
+            and z.contains_subgroup(bb)
+            and all(g.power(x, ell) in z.element_set for x in b.elements)
+        ):
+            continue
+        zb = commutator_subgroup(z, b)
+        if bb.order != zb.order * ell:
+            continue
+        mids = [
+            h
+            for h in subs
+            if h.order == z.order * ell and h.contains_subgroup(z)
+        ]
+        if len(mids) != ell + 1:
+            raise CertificateFailed(
+                "B/Z does not have l + 1 subgroups of order l", witness=(b, z)
+            )
+        for eta in characters_of(z):
+            if all(eta.exponent_of(x) == 0 for x in zb.elements) and any(
+                eta.exponent_of(x) != 0 for x in bb.elements
+            ):
+                options = [(h, e) for h in mids for e in extensions_of(eta, h)]
+                yield Configuration(
+                    "II", b, (z, eta), (("Z", z), ("eta", eta)),
+                    options=tuple(options),
+                )
+
+
+def _type_III(g: Group, n: Subgroup, b: Subgroup):
+    """H maximal non-normal in B with core K >= N and its normal complement
+    C; one per chi in B^*, with mu over H-orbit representatives of (C/K)^*.
+    The (H, K, C) triples are enumerated afresh, past their cache."""
+    for h, k, c in relations.type_iii_configurations.__wrapped__(b):
+        if not k.contains_subgroup(n):
+            continue
+        glued = _glued_reps(h, c, "min")
+        for chi in characters_of(b):
+            yield Configuration(
+                "III", b, (h, k, c, chi), (("H", h), ("C", c), ("chi", chi)),
+                head=(h, chi.restrict(h)),
+                terms=tuple(
+                    (u, nu, chi.restrict(u).mul(nu)) for u, nu in glued
+                ),
+            )
+
+
+def basic_relations(g: Group, n: Subgroup) -> list[tuple]:
+    """(kind, B, witness, element) of every basic relation of (G, N), from
+    the configurations above, in the package's order and with its rule for
+    dropping duplicates."""
+    full = full_subgroup(g)
+    out = []
+    for kind in ("I", "II", "III"):
+        seen: set = set()
+        for cfg in configurations(g, n, kind):
+            for witness, terms in cfg.relations():
+                elt = rplus(
+                    full,
+                    n,
+                    [(pair_class(u, chi, full), sign) for u, chi, sign in terms],
+                )
+                if elt.coefficients not in seen:
+                    seen.add(elt.coefficients)
+                    out.append((kind, cfg.b, witness, elt))
+    return out
 
 
 # ---------------------------------------------------------------------------

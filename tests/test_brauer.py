@@ -460,3 +460,45 @@ def test_orbit_refusals_hold_under_optimisation(flags, run_python):
         "glue: glued character ill-defined at 1: exponents 0 and 1 mod 3: (1, 0, 1)",
         "glued reps: the U-orbit of (0, 1, 2) leaves (M/(U & M))^*: [(0, 2, 1)]",
     ]
+
+
+# Run with and without `python -O`: an induced character whose class counts
+# are not divisible by |H| is refused with the pair class (phi) or the
+# character (its irreducible coordinates) as witness.
+_INTEGRALITY_REFUSALS = """
+import sys
+from monomial.brauer import brauer_map, generator, pair_class
+from monomial.catalog import catalog_group
+from monomial.characters import CharacterTable, character_table, trivial_character
+from monomial.errors import CertificateFailed
+from monomial.groups import full_subgroup, subgroup
+
+s3 = catalog_group("S3")
+full, c2 = full_subgroup(s3), subgroup(s3, [0, 3])
+chi = trivial_character(c2)
+x = generator(c2, chi)
+table = character_table(s3)
+brauer_map(x)  # the table is built before its counts are patched
+print("optimize", sys.flags.optimize)
+# the identity counted once: |H| Ind(chi) is not divisible by |H| = 2
+CharacterTable._induced_counts = lambda self, chi, label=None: {0: 1}
+for label, call, witness in (
+    ("brauer_map", lambda: brauer_map(x), pair_class(c2, chi, full)),
+    ("induced_coordinates", lambda: table.induced_coordinates(chi), chi),
+):
+    try:
+        print(label, "returned", call())
+    except CertificateFailed as exc:
+        print(f"{label}: {exc}: {exc.witness == witness}")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_integrality_refusals_hold_under_optimisation(flags, run_python):
+    out = run_python(flags, _INTEGRALITY_REFUSALS)
+    assert out[:3] == [
+        f"optimize {len(flags)}",
+        "brauer_map: induced character is not integral: True",
+        "induced_coordinates: induced character has a non-integral "
+        "coordinate: True",
+    ]

@@ -29,6 +29,7 @@ from monomial.relations import (
     type_iii_configurations,
     verify_theorem_2_7,
 )
+import oracles
 from oracles import (
     in_lattice,
     lattice_equal,
@@ -125,16 +126,28 @@ def test_type_III_configuration_a4():
         ]
 
 
+# configurations per (G, N, kind), their blocks per (B, floor) and the type
+# III triples per B
+_CONFIGURATION_CACHES = (
+    relations.configurations,
+    relations._type_I_at,
+    relations._type_II_at,
+    relations._type_III_at,
+    relations.type_iii_configurations,
+)
+
+
 def test_second_complement_is_refused(monkeypatch, request):
     # listing every subgroup of B twice gives each H two complements: a
     # typed refusal with the configuration as witness, not an assert
     s3 = catalog_group("S3")
     real = relations._subgroups_of
     monkeypatch.setattr(relations, "_subgroups_of", lambda g, b: real(g, b) * 2)
-    # cached configurations would skip the patched enumeration, and the
-    # ones built with it must not outlive the test
-    relations.configurations.cache_clear()
-    request.addfinalizer(relations.configurations.cache_clear)
+    # cached configurations, blocks or triples would skip the patched
+    # enumeration, and the ones built with it must not outlive the test
+    for cached in _CONFIGURATION_CACHES:
+        cached.cache_clear()
+        request.addfinalizer(cached.cache_clear)
     with pytest.raises(CertificateFailed) as exc:
         gen_type_III(s3, trivial_subgroup(s3))
     b, h, candidates = exc.value.witness
@@ -248,6 +261,8 @@ def test_unknown_relation_kind_is_refused():
             basic_relations(s3, n, kinds)
     with pytest.raises(ParseError, match="'IV'"):
         verify_theorem_2_7(s3, n, ("I", "IV"))
+    with pytest.raises(ParseError, match="'IV'"):
+        relations.configurations(s3, n, "IV")
 
 
 # Run under `python -O`: a bogus relation must still be refused, by the
@@ -392,10 +407,28 @@ def test_verdict_refuses_non_kernel_relation_of_full_rank(optimize, run_python):
     ]
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_blocks_shared_across_n_equal_per_n_enumeration(name):
+    # with the blocks first built for the largest N, every (N, kind) of the
+    # group reads the configurations, records and order both, and the
+    # relations that the per-N oracle builds afresh for that N
+    for cached in _CONFIGURATION_CACHES:
+        cached.cache_clear()
+    g = catalog_group(name)
+    for n in reversed(normal_subgroups(g)):
+        for kind in ("I", "II", "III"):
+            assert relations.configurations(g, n, kind) == (
+                oracles.configurations(g, n, kind)
+            ), (n.elements, kind)
+        got = [(r.kind, r.b, r.witness, r.element) for r in basic_relations(g, n)]
+        assert got == oracles.basic_relations(g, n), n.elements
+
+
 def test_cached_records_equal_fresh_enumeration():
     # the configurations and glued orbit representatives read from the
-    # caches against the uncached bodies, on every catalog (G, N, kind),
-    # with every glued key of type III and of the lambda recursion's layers
+    # caches against the per-N oracle and the uncached bodies, on every
+    # catalog (G, N, kind), with every glued key of type III and of the
+    # lambda recursion's layers
     glued_keys = 0
     for name in catalog_names():
         g = catalog_group(name)
@@ -403,7 +436,7 @@ def test_cached_records_equal_fresh_enumeration():
         for n in normal_subgroups(g):
             for kind in ("I", "II", "III"):
                 cached = relations.configurations(g, n, kind)
-                fresh = relations.configurations.__wrapped__(g, n, kind)
+                fresh = oracles.configurations(g, n, kind)
                 assert cached == fresh, (name, n.elements, kind)
             keys = {
                 (cfg.witness[0], cfg.witness[2], "min")
