@@ -39,6 +39,7 @@ from .groups import (
     full_subgroup,
     intersection,
     is_normal,
+    is_normal_in,
     product_set,
     subgroup,
     subgroup_class_reps,
@@ -342,24 +343,23 @@ class OrbitData:
 def _require_abelian_normal(ambient: Subgroup, c: Subgroup) -> None:
     if not c.as_group.is_abelian():
         raise CNotAbelianNormal(f"{c} is not abelian")
-    conj, cset = ambient.parent.conj_table, c.element_set
-    for g in ambient.elements:
-        row = conj[g]
-        if not cset.issuperset([row[x] for x in c.elements]):
-            raise CNotAbelianNormal(f"{c} is not normal in the ambient group")
+    if not is_normal_in(ambient, c):
+        raise CNotAbelianNormal(f"{c} is not normal in the ambient group")
 
 
-def orbit_data(h: Subgroup, chi: Character, c: Subgroup) -> OrbitData:
+def orbit_data(
+    h: Subgroup, chi: Character, c: Subgroup, ambient: Subgroup
+) -> OrbitData:
     """S(chi), the characters of C that agree with chi on H & C, split
     into H-conjugation orbits: t holds the least character of each orbit
     (in the sorted order of `characters_of`) and stabilizers its
-    stabiliser in H.
+    stabiliser in H.  C must be abelian and normal in the ambient, which
+    contains H.
 
     Conjugation by each h is read once as a permutation of C's positions
     (`conjugation_sources`); orbits and stabilisers are taken on exponent
     tuples, so Characters and Subgroups are built only for what is returned.
     """
-    ambient = full_subgroup(h.parent)
     _require_abelian_normal(ambient, c)
     meet = intersection(h, c)
     target = chi.restrict(meet)
@@ -435,7 +435,7 @@ def projector_phi(x: RPlusElement, c: Subgroup) -> RPlusElement:
         if h.contains_subgroup(c):
             items.append((cls, n))
             continue
-        data = orbit_data(h, chi, c)
+        data = orbit_data(h, chi, c, x.ambient)
         for mu, h_mu in zip(data.t, data.stabilizers):
             glued = glued_character(h_mu, chi.restrict(h_mu), c, mu)
             items.append((pair_class(glued.domain, glued, x.ambient), n))

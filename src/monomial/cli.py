@@ -377,7 +377,7 @@ def extend_run(group_file, delta_file, n_sel, full_kernel, out):
     with open(delta_file) as handle:
         delta, vgroup = _parse_delta_file(g, n, handle.read())
     lines = [f"group {g.name or group_file} order {g.order}"]
-    violations = check_conditions(g, delta)
+    violations = check_conditions(delta)
     if violations:
         first = violations[0]
         lines.append(f"conditions fail ({len(violations)} violations)")
@@ -386,14 +386,12 @@ def extend_run(group_file, delta_file, n_sel, full_kernel, out):
         _emit("\n".join(lines) + "\n", out)
         raise SystemExit(1)
     lines.append("conditions pass")
-    ext0 = extend(g, n, delta, full_kernel=full_kernel, variant=0)
-    ext1 = extend(g, n, delta, full_kernel=full_kernel, variant=1)
-    lines.append(f"unique {uniqueness_check(ext0, ext1)}")
-    tower = verify_tower(delta, g, n)
+    ext = extend(delta, full_kernel=full_kernel)
+    lines.append(f"unique {uniqueness_check(ext)}")
+    tower = verify_tower(delta)
     lines.append(f"tower-identities {'pass' if not tower else tower}")
-    full = full_subgroup(g)
     for i, rho in enumerate(irreducible_characters(g)):
-        value = ext0.evaluate(full, rho)
+        value = ext.evaluate(delta.ambient, rho)
         lines.append(f"F(chi_{i}, dim {rho.dimension()}) = {vgroup.describe(value)}")
     lines.append("RESULT extended")
     _emit("\n".join(lines) + "\n", out)
@@ -451,20 +449,17 @@ def tame_galois_model(model, q, ell, degree, lpsi, out):
     p, f = _parse_prime_power(q)
     delta = galois_delta(model, p=p, f=f, ell=ell, degree=degree, lpsi=lpsi)
     g = delta.ambient.parent
-    n = trivial_subgroup(g)
     lines = [f"model {model} q={q} group {g.name} order {g.order}"]
-    for cls in pair_classes(full_subgroup(g), n):
+    for cls in pair_classes(delta.ambient, delta.lower):
         value = delta.values[cls]
         lines.append(f"{cls.serialize()} -> ({value.c!r}, {value.k})")
-    violations = check_conditions(g, delta)
+    violations = check_conditions(delta)
     if violations:
         lines.append(f"conditions fail ({len(violations)})")
         lines.append("RESULT refused")
         _emit("\n".join(lines) + "\n", out)
         raise SystemExit(1)
-    ext0 = extend(g, n, delta, variant=0)
-    ext1 = extend(g, n, delta, variant=1)
-    lines.append(f"conditions pass; unique {uniqueness_check(ext0, ext1)}")
+    lines.append(f"conditions pass; unique {uniqueness_check(extend(delta))}")
     lines.append("RESULT extended")
     _emit("\n".join(lines) + "\n", out)
 
@@ -485,7 +480,7 @@ def _extend_refusal(g, n) -> str | None:
     repeat a (G, N) share one run."""
     delta = constant_delta(g, n, FreeAbelianGroup())
     try:
-        extend(g, n, delta)
+        extend(delta)
     except MonomialError as exc:
         return type(exc).__name__
     return None
@@ -495,7 +490,7 @@ def _extend_refusal(g, n) -> str | None:
 def _tower_issues(g, n) -> int:
     """The number of tower-law violations of the constant Delta on (G, N),
     computed once per (G, N) like `_extend_refusal`."""
-    return len(verify_tower(constant_delta(g, n, FreeAbelianGroup()), g, n))
+    return len(verify_tower(constant_delta(g, n, FreeAbelianGroup())))
 
 
 def _campaign_check(check_name, params, targets, lines) -> bool:

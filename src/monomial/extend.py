@@ -55,11 +55,11 @@ from .groups import (
     commutator_subgroup,
     full_subgroup,
     is_normal,
+    is_normal_in,
     subgroup_class_reps,
 )
 from .relations import (
     _glued_reps,
-    _is_normal_in,
     _subgroups_of,
     basic_relations,
     configurations,
@@ -248,37 +248,37 @@ def _violations(cfg, delta: DeltaFunction) -> list:
     return out
 
 
-def _check(g: Group, delta: DeltaFunction, kind: str) -> list:
+def _check(delta: DeltaFunction, kind: str) -> list:
     return [
         v
-        for cfg in configurations(g, delta.lower, kind)
+        for cfg in configurations(delta.ambient.parent, delta.lower, kind)
         for v in _violations(cfg, delta)
     ]
 
 
-def check_condition_I(g: Group, delta: DeltaFunction) -> list:
+def check_condition_I(delta: DeltaFunction) -> list:
     """Delta(K,chi_K) * prod Delta(B,mu) = prod Delta(B,chi mu) over
     (B/K)^*, for every prime-index normal K >= N in every B."""
-    return _check(g, delta, "I")
+    return _check(delta, "I")
 
 
-def check_condition_II(g: Group, delta: DeltaFunction) -> list:
+def check_condition_II(delta: DeltaFunction) -> list:
     """Delta(H, eta^H) * prod_{mu in (B/H)^*} Delta(B, mu) must not depend
     on the choice of (H, eta^H) within a Heisenberg configuration."""
-    return _check(g, delta, "II")
+    return _check(delta, "II")
 
 
-def check_condition_III(g: Group, delta: DeltaFunction) -> list:
+def check_condition_III(delta: DeltaFunction) -> list:
     """Delta(H,chi_H) * prod_mu Delta(H_mu C, mu') = prod_mu
     Delta(H_mu C, chi mu') over H-orbit reps mu of (C/K)^*."""
-    return _check(g, delta, "III")
+    return _check(delta, "III")
 
 
-def check_conditions(g: Group, delta: DeltaFunction) -> list:
+def check_conditions(delta: DeltaFunction) -> list:
     return (
-        check_condition_I(g, delta)
-        + check_condition_II(g, delta)
-        + check_condition_III(g, delta)
+        check_condition_I(delta)
+        + check_condition_II(delta)
+        + check_condition_III(delta)
     )
 
 
@@ -305,15 +305,12 @@ class LambdaEngine:
         self._memo: dict = {}
         self._checked: set = set()
 
-    def _require_own(self, *subs: Subgroup) -> None:
-        for s in subs:
-            if s.parent != self.parent:
-                raise DomainMismatch(f"{s} is not in the group of Delta")
-
     def value(self, u: Subgroup, n: Subgroup, ambient: Subgroup | None = None):
         if ambient is None:
             ambient = self.delta.ambient
-        self._require_own(u, n, ambient)
+        for s in (u, n, ambient):
+            if s.parent != self.parent:
+                raise DomainMismatch(f"{s} is not in the group of Delta")
         return self._value(u, n, ambient, "min", top=True)
 
     def _value(self, u, n, ambient, rep_choice, top=False):
@@ -384,7 +381,7 @@ def _minimal_abelian_layers(ambient: Subgroup, n: Subgroup) -> tuple:
         if (
             m.order > n.order
             and m.contains_subgroup(n)
-            and _is_normal_in(ambient, m)
+            and is_normal_in(ambient, m)
             and commutator_subgroup(m, m).element_set <= n.element_set
         ):
             candidates.append(m)
@@ -402,16 +399,17 @@ def _minimal_abelian_layers(ambient: Subgroup, n: Subgroup) -> tuple:
 # tower and lambda-law verification
 
 
-def verify_tower(delta: DeltaFunction, g: Group, n: Subgroup) -> list:
+def verify_tower(delta: DeltaFunction) -> list:
     """The tower identity on all chains N <= U' <= U <= A <= Omega, plus
     representative-choice independence, conjugation invariance, inflation
-    consistency, and the abelian product formula.
+    consistency, and the abelian product formula, for Delta's own group
+    and N.
 
     Each lambda_{U'}^A is computed once per containing pair, and the
     conjugation law computes one lambda per distinct conjugate of U."""
-    full = full_subgroup(g)
+    full, n = delta.ambient, delta.lower
+    g = full.parent
     engine = LambdaEngine(delta)
-    engine._require_own(full, n)
     vg = delta.group
     violations = []
     subs = [s for s in all_subgroups(g) if s.contains_subgroup(n)]
@@ -476,23 +474,24 @@ def verify_tower(delta: DeltaFunction, g: Group, n: Subgroup) -> list:
 
 @dataclass
 class Extension:
-    delta: DeltaFunction
-    n: Subgroup
-    engine: LambdaEngine
-    variant: int = 0
+    """The extension of Delta, relative to Delta's own N (`delta.lower`)."""
 
-    def evaluate(self, h: Subgroup, rho: ClassFunction):
+    delta: DeltaFunction
+    engine: LambdaEngine
+
+    def evaluate(self, h: Subgroup, rho: ClassFunction, variant: int = 0):
         """F(H, rho) via a presentation rho = sum n_i Ind_{U_i}^H(chi_i):
-        the product of (Delta(U_i,chi_i) * lambda_{U_i}^H)^{n_i}."""
+        the product of (Delta(U_i,chi_i) * lambda_{U_i}^H)^{n_i}.
+        `variant` picks the presentation (see `brauer.presentation`)."""
         if rho.domain != h:
             raise DomainMismatch(f"rho lives on {rho.domain}, not on {h}")
-        vg = self.delta.group
-        pres = presentation(rho, self.n, variant=self.variant)
+        vg, n = self.delta.group, self.delta.lower
+        pres = presentation(rho, n, variant=variant)
         out = vg.one()
         for cls, k in pres.coefficients:
             u, chi = cls.subgroup, cls.char
             term = vg.mul(
-                self.delta.value(u, chi), self.engine.value_rel(u, h, self.n)
+                self.delta.value(u, chi), self.engine.value_rel(u, h, n)
             )
             out = vg.mul(out, vg.pow(term, k))
         return out
@@ -505,29 +504,23 @@ class Extension:
         for cls, k in x.coefficients:
             term = vg.mul(
                 self.delta.value(cls.subgroup, cls.char),
-                self.engine.value(cls.subgroup, self.n),
+                self.engine.value(cls.subgroup, self.delta.lower),
             )
             out = vg.mul(out, vg.pow(term, k))
         return out
 
 
-def extend(
-    g: Group,
-    n: Subgroup,
-    delta: DeltaFunction,
-    full_kernel: bool = False,
-    variant: int = 0,
-) -> Extension:
+def extend(delta: DeltaFunction, full_kernel: bool = False) -> Extension:
     """Check conditions I-III, then certify well-definedness on the kernel
     generators (or the whole kernel basis with full_kernel) and return
-    the extension."""
-    violations = check_conditions(g, delta)
+    the extension of Delta relative to its own N."""
+    violations = check_conditions(delta)
     if violations:
         raise ConditionsViolated(
             f"{len(violations)} condition violation(s)", witness=violations[0]
         )
-    engine = LambdaEngine(delta)
-    ext = Extension(delta=delta, n=n, engine=engine, variant=variant)
+    g, n = delta.ambient.parent, delta.lower
+    ext = Extension(delta=delta, engine=LambdaEngine(delta))
     vg = delta.group
     if full_kernel:
         witnesses = [(None, x) for x in kernel_basis(g, n)]
@@ -563,18 +556,15 @@ def irreducibles_mod_derived(h: Subgroup, n: Subgroup) -> list[ClassFunction]:
     ]
 
 
-def uniqueness_check(ext1: Extension, ext2: Extension) -> bool:
-    """Agreement on every irreducible of H/[N,N] for every H >= N."""
-    if ext1.n != ext2.n:
-        raise DomainMismatch(
-            f"the extensions are relative to {ext1.n} and {ext2.n}"
-        )
-    g = ext1.delta.ambient.parent
-    vg = ext1.delta.group
+def uniqueness_check(ext: Extension) -> bool:
+    """Whether presentations 0 and 1 give the same value on every
+    irreducible of H/[N,N] for every H >= N."""
+    g, n = ext.delta.ambient.parent, ext.delta.lower
+    vg = ext.delta.group
     for h in subgroup_class_reps(g):
-        if not h.contains_subgroup(ext1.n):
+        if not h.contains_subgroup(n):
             continue
-        for rho in irreducibles_mod_derived(h, ext1.n):
-            if not vg.eq(ext1.evaluate(h, rho), ext2.evaluate(h, rho)):
+        for rho in irreducibles_mod_derived(h, n):
+            if not vg.eq(ext.evaluate(h, rho, 0), ext.evaluate(h, rho, 1)):
                 return False
     return True

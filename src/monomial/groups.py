@@ -436,11 +436,18 @@ def conjugate_subgroup(h: Subgroup, g_elt: int) -> Subgroup:
     return Subgroup(h.parent, tuple(sorted([row[x] for x in h.elements])))
 
 
-def is_normal(g: Group, h: Subgroup) -> bool:
+def _stable_under(rows, h: Subgroup) -> bool:
     hset = h.element_set
-    return all(
-        hset.issuperset([row[x] for x in h.elements]) for row in g.conj_table
-    )
+    return all(hset.issuperset([row[x] for x in h.elements]) for row in rows)
+
+
+def is_normal(g: Group, h: Subgroup) -> bool:
+    return _stable_under(g.conj_table, h)
+
+
+def is_normal_in(b: Subgroup, h: Subgroup) -> bool:
+    """Whether every element of B normalises H."""
+    return _stable_under(map(b.parent.conj_table.__getitem__, b.elements), h)
 
 
 def centralizer(g: Group, h: Subgroup) -> Subgroup:
@@ -469,13 +476,23 @@ def product_set(h: Subgroup, k: Subgroup) -> Subgroup:
     return subgroup(h.parent, {t[a][b] for a in h.elements for b in k.elements})
 
 
-def core(g: Group, h: Subgroup) -> Subgroup:
+def _core_under(g: Group, rows, h: Subgroup) -> Subgroup:
     elems = set(h.element_set)
-    for row in g.conj_table:
+    for row in rows:
         elems.intersection_update([row[x] for x in h.elements])
         if len(elems) == 1:
             break
     return subgroup(g, elems)
+
+
+def core(g: Group, h: Subgroup) -> Subgroup:
+    return _core_under(g, g.conj_table, h)
+
+
+def core_in(b: Subgroup, h: Subgroup) -> Subgroup:
+    """The largest subgroup of H normalised by every element of B."""
+    rows = map(b.parent.conj_table.__getitem__, b.elements)
+    return _core_under(b.parent, rows, h)
 
 
 def commutator_subgroup(h: Subgroup, k: Subgroup) -> Subgroup:

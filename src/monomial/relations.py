@@ -46,9 +46,11 @@ from .groups import (
     Subgroup,
     all_subgroups,
     commutator_subgroup,
+    core_in,
     full_subgroup,
     intersection,
     is_normal,
+    is_normal_in,
     maximal_subgroups,
     product_set,
     subgroup,
@@ -63,21 +65,6 @@ class BasicRelation:
     b: Subgroup = field(compare=False)
     witness: tuple = field(compare=False)
     element: RPlusElement
-
-
-def _is_normal_in(b: Subgroup, h: Subgroup) -> bool:
-    conj, hset = b.parent.conj_table, h.element_set
-    return all(
-        hset.issuperset([conj[g][x] for x in h.elements]) for g in b.elements
-    )
-
-
-def _core_in(b: Subgroup, h: Subgroup) -> Subgroup:
-    conj = b.parent.conj_table
-    elems = set(h.element_set)
-    for g in b.elements:
-        elems.intersection_update([conj[g][x] for x in h.elements])
-    return subgroup(b.parent, elems)
 
 
 def _subgroups_of(g: Group, b: Subgroup):
@@ -187,7 +174,7 @@ def _type_I(g: Group, n: Subgroup, b: Subgroup):
         if (
             _is_prime(b.order // k.order)
             and k.contains_subgroup(n)
-            and _is_normal_in(b, k)
+            and is_normal_in(b, k)
         ):
             yield from _type_I_at(b, k)
 
@@ -292,13 +279,13 @@ def type_iii_configurations(b: Subgroup) -> tuple:
     out = []
     for hm in maximal_subgroups(b.as_group):
         h = subgroup(g, [b.elements[x] for x in hm.elements])
-        if _is_normal_in(b, h):
+        if is_normal_in(b, h):
             continue
-        k = _core_in(b, h)
+        k = core_in(b, h)
         candidates = [
             c
             for c in _subgroups_of(g, b)
-            if _is_normal_in(b, c)
+            if is_normal_in(b, c)
             and product_set(h, c) == b
             and intersection(h, c) == k
         ]
@@ -407,16 +394,17 @@ def verify_theorem_2_7(
     """Compare Ker(phi) with the lattice R spanned by the basic relations,
     as subgroups of the free module Z^m on pair classes with H >= N.
 
-    The verdict takes one Smith normal form, of the relation matrix.  First
-    phi(r) = 0 is checked in integers for every relation r, so R lies in
-    Ker(phi).  Then R = Ker(phi) exactly when R has the kernel's rank and
-    every nonzero elementary divisor of R is 1: equal ranks make
-    Ker(phi)/R torsion, unit divisors make Z^m/R torsion-free, so
-    Ker(phi)/R, a subgroup of Z^m/R, is zero.  (Conversely Ker(phi) is
-    saturated, being the kernel of an integer map, so equality forces
-    unit divisors.)  Only when the lattices differ are the kernel basis
-    vectors outside R solved for, with the same normal form; they are
-    reported as missing.
+    The verdict takes two Smith normal forms: one of phi, whose kernel
+    basis gives the kernel's rank, and one of the relation matrix, which
+    gives R's rank and elementary divisors.  First phi(r) = 0 is checked
+    in integers for every relation r, so R lies in Ker(phi).  Then
+    R = Ker(phi) exactly when R has the kernel's rank and every nonzero
+    elementary divisor of R is 1: equal ranks make Ker(phi)/R torsion,
+    unit divisors make Z^m/R torsion-free, so Ker(phi)/R, a subgroup of
+    Z^m/R, is zero.  (Conversely Ker(phi) is saturated, being the kernel
+    of an integer map, so equality forces unit divisors.)  Only when the
+    lattices differ are the kernel basis vectors outside R solved for,
+    with the relation matrix's normal form; they are reported as missing.
     """
     full = full_subgroup(g)
     _, phi = _phi_matrix(full, n)

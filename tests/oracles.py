@@ -46,6 +46,7 @@ from monomial.groups import (
     Subgroup,
     commutator_subgroup,
     full_subgroup,
+    is_normal_in,
     minimal_normal_subgroups,
     quotient,
     subgroup,
@@ -55,7 +56,6 @@ from monomial.intlin import Lattice
 from monomial.relations import (
     Configuration,
     _glued_reps,
-    _is_normal_in,
     _subgroups_of,
 )
 
@@ -267,7 +267,7 @@ def _type_I(g: Group, n: Subgroup, b: Subgroup):
         if not (
             _is_prime(index)
             and k.contains_subgroup(n)
-            and _is_normal_in(b, k)
+            and is_normal_in(b, k)
         ):
             continue
         rel_chars = characters_trivial_on(b, k)

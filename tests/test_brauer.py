@@ -130,21 +130,21 @@ def test_multiply_is_ring_homomorphism():
 def test_orbit_data_examples():
     s3, full, a3, c2, triv = s3_parts()
     # H contains C: S is just the restriction
-    data = orbit_data(full, characters_of(full)[0], a3)
+    data = orbit_data(full, characters_of(full)[0], a3, full)
     assert len(data.s) == 1 and len(data.t) == 1
     # H = {e}: all three characters of A3; the trivial H fixes each one,
     # so every character is its own orbit (the classes [C3,w],[C3,w^2]
     # merge later, at the pair-class level)
-    data = orbit_data(triv, trivial_character(triv), a3)
+    data = orbit_data(triv, trivial_character(triv), a3, full)
     assert len(data.s) == 3
     assert len(data.t) == 3
     assert all(h.order == 1 for h in data.stabilizers)
     # H = C2: S = C^*, stabilizers C2 and {e}
-    data = orbit_data(c2, trivial_character(c2), a3)
+    data = orbit_data(c2, trivial_character(c2), a3, full)
     assert len(data.s) == 3 and len(data.t) == 2
     assert sorted(h.order for h in data.stabilizers) == [1, 2]
     with pytest.raises(CNotAbelianNormal):
-        orbit_data(triv, trivial_character(triv), c2)
+        orbit_data(triv, trivial_character(triv), c2, full)
 
 
 def _orbit_data_by_conjugates(h, chi, c):
@@ -173,11 +173,12 @@ def test_orbit_data_matches_conjugate_characters():
     # normal C
     for name in catalog_names():
         g = catalog_group(name)
+        full = full_subgroup(g)
         cs = [c for c in normal_subgroups(g) if c.as_group.is_abelian()]
         for h in subgroup_class_reps(g):
             for chi in characters_of(h):
                 for c in cs:
-                    data = orbit_data(h, chi, c)
+                    data = orbit_data(h, chi, c, full)
                     assert (data.s, data.t, data.stabilizers) == (
                         _orbit_data_by_conjugates(h, chi, c)
                     ), (name, h, chi, c)
@@ -235,6 +236,77 @@ def test_projector_laws_sampled():
                 assert multiply(t, projector_phi(x, c)) == projector_phi(
                     multiply(t, x), c
                 )
+
+
+def _d4_in_s4():
+    """S4, a D4 in it and a Klein four-group C normal in the D4 but not
+    in S4."""
+    s4 = catalog_group("S4")
+    return (
+        s4,
+        subgroup(s4, [0, 1, 6, 7, 16, 17, 22, 23]),
+        subgroup(s4, [0, 1, 6, 7]),
+    )
+
+
+def test_projector_on_a_subgroup_ambient():
+    # Phi_C on R+(D4) needs C normal in D4 only, not in S4; omegas[1]
+    # and omegas[2] are conjugate in D4
+    s4, d4, c = _d4_in_s4()
+    triv = trivial_subgroup(s4)
+    x = rplus(d4, triv, [(pair_class(triv, trivial_character(triv), d4), 1)])
+    omegas = characters_of(c)
+    assert projector_phi(x, c) == rplus(
+        d4,
+        triv,
+        [(pair_class(c, omegas[0], d4), 1), (pair_class(c, omegas[1], d4), 2),
+         (pair_class(c, omegas[3], d4), 1)],
+    )
+    classes = pair_classes(d4, triv)
+    assert len(classes) == 20
+    rng = random.Random(17)
+    for _ in range(40):
+        items = [(cls, rng.randrange(-2, 3)) for cls in classes if rng.random() < 0.4]
+        y = rplus(d4, triv, items)
+        py = projector_phi(y, c)
+        assert projector_phi(py, c) == py
+        assert brauer_map(py).values == brauer_map(y).values
+
+
+# Run with and without `python -O`: a C that is not normal in the D4
+# ambient is refused, by Phi_C and by orbit_data.
+_NOT_NORMAL_IN_AMBIENT = """
+import sys
+from test_brauer import _d4_in_s4
+from monomial.brauer import orbit_data, one_rplus, projector_phi
+from monomial.characters import trivial_character
+from monomial.errors import CNotAbelianNormal
+from monomial.groups import subgroup, trivial_subgroup
+
+s4, d4, _ = _d4_in_s4()
+c = subgroup(s4, [0, 16])
+triv = trivial_subgroup(s4)
+print("optimize", sys.flags.optimize)
+for label, call in (
+    ("projector", lambda: projector_phi(one_rplus(d4), c)),
+    ("orbit data", lambda: orbit_data(triv, trivial_character(triv), c, d4)),
+):
+    try:
+        print(label, "returned", call())
+    except CNotAbelianNormal as exc:
+        print(label, "CNotAbelianNormal", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_c_not_normal_in_the_ambient_is_refused(flags, run_python):
+    out = run_python(flags, _NOT_NORMAL_IN_AMBIENT)
+    refusal = "CNotAbelianNormal Subgroup(0, 16) is not normal in the ambient group"
+    assert out[:3] == [
+        f"optimize {len(flags)}",
+        f"projector {refusal}",
+        f"orbit data {refusal}",
+    ]
 
 
 def test_projection_formula_identity():
@@ -438,11 +510,11 @@ def attempt(label, call):
 
 
 brauer.characters_of = lambda c: chars_of(c)[:-1]
-attempt("count", lambda: brauer.orbit_data(half, sign, whole).s)
+attempt("count", lambda: brauer.orbit_data(half, sign, whole, whole).s)
 brauer.characters_of = chars_of
 # every conjugate read at the identity: the trivial character, outside S(sign)
 brauer.conjugation_sources = lambda c, elements: {g: [0] * c.order for g in elements}
-attempt("orbit", lambda: brauer.orbit_data(half, sign, whole).t)
+attempt("orbit", lambda: brauer.orbit_data(half, sign, whole, whole).t)
 brauer.conjugation_sources = sources
 attempt("glue", lambda: brauer.glued_character(a3, omega, a3, trivial_character(a3)))
 relations.characters_trivial_on = lambda b, k: trivial_on(b, k)[:-1]

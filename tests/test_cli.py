@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -6,11 +7,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from monomial import cli, type3
+from monomial import extend as extend_module
 from monomial.brauer import pair_classes
 from monomial.catalog import catalog_group
 from monomial.cli import main
 from monomial.errors import CertificateFailed
 from monomial.groups import dump_group, full_subgroup, trivial_subgroup
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def run(*args):
@@ -141,10 +146,10 @@ def test_failed_extend_turns_every_target_of_its_pair_red(
 ):
     real = cli.extend
 
-    def extend(g, n, delta, **kwargs):
-        if g.name == "S3" and n.order == 1:
+    def extend(delta, **kwargs):
+        if delta.ambient.parent.name == "S3" and delta.lower.order == 1:
             raise CertificateFailed("witness is not in the kernel")
-        return real(g, n, delta, **kwargs)
+        return real(delta, **kwargs)
 
     monkeypatch.setattr(cli, "extend", extend)
     _clear_campaign_caches(request)
@@ -182,6 +187,60 @@ def test_unknown_check_is_refused_before_any_check_runs(tmp_path, monkeypatch):
     camp = tmp_path / "c.txt"
     camp.write_text("target S3 N=trivial\ncheck thm2.7\ncheck nope\n")
     assert "'nope'" in _one_error_line(run("campaign", "run", str(camp)))
+
+
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["extend", "run", "S3", os.path.join(GOLDEN, "s3.delta"), "--n", "derived"],
+        ["tame", "galois-model", "--model", "s3", "--q", "2", "--ell", "3"],
+    ],
+    ids=["extend-run", "galois-model"],
+)
+def test_each_command_builds_one_extension(args, monkeypatch):
+    # the report's own condition check, then `extend` (which checks them
+    # once more); uniqueness compares two presentations on that extension
+    calls = Counter()
+    monkeypatch.setattr(cli, "extend", _counting(calls, "extend", cli.extend))
+    check = _counting(calls, "check_conditions", extend_module.check_conditions)
+    monkeypatch.setattr(cli, "check_conditions", check)
+    monkeypatch.setattr(extend_module, "check_conditions", check)
+    result = run(*args)
+    assert result.exit_code == 0, result.output
+    assert "unique True" in result.output
+    assert calls == {"extend": 1, "check_conditions": 2}
+
+
+@pytest.mark.parametrize(
+    "group, delta, n",
+    [("S3", "s3.delta", "derived"), ("Q8", "q8.delta", "center"),
+     ("C6", "c6.delta", "trivial")],
+    ids=["S3", "Q8", "C6"],
+)
+def test_full_kernel_report_equals_the_generator_report(group, delta, n, monkeypatch):
+    # certifying on the whole kernel basis, not only on the basic
+    # relations, changes nothing in the report
+    calls = Counter()
+    monkeypatch.setattr(
+        extend_module, "kernel_basis",
+        _counting(calls, "kernel_basis", extend_module.kernel_basis),
+    )
+    args = ["extend", "run", group, os.path.join(GOLDEN, delta), "--n", n]
+    plain = run(*args)
+    assert calls["kernel_basis"] == 0
+    full = run(*args, "--full-kernel")
+    assert calls["kernel_basis"] == 1
+    assert plain.exit_code == full.exit_code == 0
+    assert "RESULT extended" in full.output
+    assert full.output == plain.output
 
 
 def test_extend_run_round_trip(tmp_path):

@@ -312,7 +312,7 @@ extend.basic_relations = lambda g, n: real(g, n) + [
     relations.BasicRelation("I", g, full, (), bogus)
 ]
 try:
-    extend.extend(g, n, extend.constant_delta(g, n, extend.FreeAbelianGroup()))
+    extend.extend(extend.constant_delta(g, n, extend.FreeAbelianGroup()))
     print("extension passed")
 except CertificateFailed as exc:
     print("extension refused", exc.witness == bogus)

@@ -21,7 +21,7 @@ from monomial.extend import (
     uniqueness_check,
     verify_tower,
 )
-from monomial.groups import full_subgroup, trivial_subgroup
+from monomial.groups import full_subgroup
 from monomial.tame import (
     CycVec,
     RootValue,
@@ -1087,8 +1087,8 @@ def test_galois_delta_s3_worked_values():
     assert all(v == one for v in d.values.values())
     g = d.ambient.parent
     assert g.name == "S3"
-    assert check_conditions(g, d) == []
-    ext = extend(g, trivial_subgroup(g), d)
+    assert check_conditions(d) == []
+    ext = extend(d)
     assert ext is not None
 
 
@@ -1116,13 +1116,9 @@ def test_galois_delta_models_extend():
         ("s3", dict(p=2, f=1, ell=3, lpsi=1)),
     ):
         d = galois_delta(model, **kw)
-        g = d.ambient.parent
-        n = trivial_subgroup(g)
-        assert check_conditions(g, d) == []
-        e0 = extend(g, n, d, variant=0)
-        e1 = extend(g, n, d, variant=1)
-        assert uniqueness_check(e0, e1)
-        assert verify_tower(d, g, n) == []
+        assert check_conditions(d) == []
+        assert uniqueness_check(extend(d))
+        assert verify_tower(d) == []
 
 
 def test_galois_delta_refusals():
@@ -1161,4 +1157,4 @@ def test_bikummer_models_meet_the_conditions(p, f, ell, lpsi):
     # Art_E = Art_F o N on units: at q = 13 reading chi(tau) through E's own
     # generator broke condition I on six pairs
     d = galois_delta("bikummer", p=p, f=f, ell=ell, lpsi=lpsi)
-    assert check_conditions(d.ambient.parent, d) == []
+    assert check_conditions(d) == []
