@@ -169,15 +169,26 @@ class RPlusElement:
 
 def rplus(ambient: Subgroup, lower: Subgroup, items) -> RPlusElement:
     """Collect (PairClass, int) pairs into a normalized element."""
+    return rplus_element(ambient, lower, canonical_coefficients(items))
+
+
+def canonical_coefficients(items) -> tuple[tuple[PairClass, int], ...]:
+    """The (PairClass, int) pairs summed per class, zeros dropped, in the
+    canonical order of the classes."""
     acc: dict[PairClass, int] = {}
     for cls, n in items:
         acc[cls] = acc.get(cls, 0) + n
-    coeffs = tuple(
+    return tuple(
         sorted(
             ((c, n) for c, n in acc.items() if n),
             key=lambda item: item[0].sort_key(),
         )
     )
+
+
+def rplus_element(ambient: Subgroup, lower: Subgroup, coeffs) -> RPlusElement:
+    """The element with canonical coefficients `coeffs`, refused when a
+    pair's subgroup does not contain `lower`."""
     for cls, _ in coeffs:
         if not cls.subgroup.contains_subgroup(lower):
             raise DomainMismatch(f"pair {cls} lies below the lower bound {lower}")

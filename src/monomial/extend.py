@@ -5,11 +5,12 @@ A Delta-function assigns a value in an abelian group to every pair class
 product identities are exactly the obstruction; each is read off the
 records of one relation family from `relations.configurations`, the
 single source that also builds the relations.  Those records are built
-once per block of their subgroup B and shared by every N; they, the glued
-orbit representatives of the lambda recursion and the phi columns of the
-kernel check are shared with `relations`.  When the identities hold, the
-lambda recursion below produces a well-defined multiplicative extension
-to arbitrary virtual characters, certified on the kernel generators.
+once per subgroup B, in blocks tagged with their floors, and shared by
+every N; they, the glued orbit representatives of the lambda recursion
+and the phi columns of the kernel check are shared with `relations`.
+When the identities hold, the lambda recursion below produces a
+well-defined multiplicative extension to arbitrary virtual characters,
+certified on the kernel generators.
 
 Delta and lambda serve the subgroups of one group, the Delta function's,
 so their lookups are keyed by element tuples: Delta values by (H, chi's
@@ -139,7 +140,9 @@ class DeltaFunction:
     `value(h, chi)` on subgroups of the ambient's own group object reads a
     table keyed by element and exponent tuples, filled through `pair_class`
     on first lookup; any other input takes the `pair_class` path each time,
-    so refusals and MissingValue are those of `value_of_class`."""
+    so refusals and MissingValue are those of `value_of_class`.  A lower
+    N from another group is refused with DomainMismatch, and one that is
+    not normal with NotNormal."""
 
     ambient: Subgroup  # the full subgroup of the group
     lower: Subgroup
@@ -147,6 +150,11 @@ class DeltaFunction:
     values: Mapping = field(compare=False)  # PairClass -> value
 
     def __post_init__(self):
+        g = self.ambient.parent
+        if self.lower.parent != g:
+            raise DomainMismatch(f"N = {self.lower} is not in the group of Delta")
+        if not is_normal(g, self.lower):
+            raise NotNormal(f"{self.lower} is not normal")
         object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
         object.__setattr__(self, "_by_key", {})
 

@@ -3,33 +3,36 @@
 `configurations(g, n, kind)` is the single source of the instances of each
 family: the relations here and the compatibility conditions in `extend`
 both loop over its records.  A configuration depends on N only through its
-floor subgroup (K, Z or the core K), which must contain N, so the records
-of each (B, floor) block are built once and shared by every N.  Each
-relation is an explicit element of Ker(phi) built inside a subgroup B and
-pushed up by induction; its kernel check reads one cached phi column per
-pair class.  The headline verifier compares the integer lattice they span
-with the full kernel computed by linear algebra, by one saturation
-argument; the enumeration per N, lattice equality by mutual membership and
-the xi-block split of an R+ element by the orbit of its restriction to N
-are test oracles (`tests/oracles.py`).
+floor subgroup (K, Z or the core K), which must contain N, so the blocks
+of each subgroup B are built once, tagged with their floors, and shared by
+every N.  Each relation is an explicit element of Ker(phi) built inside B
+and pushed up by induction.  A configuration builds its relation elements
+once, and each distinct relation of the group gets its kernel check once,
+reading one cached phi column per pair class; per N only the floor filter
+and the dedupe run.  The headline verifier compares the integer lattice
+they span with the full kernel computed by linear algebra, by one
+saturation argument; the enumeration per N, lattice equality by mutual
+membership and the xi-block split of an R+ element by the orbit of its
+restriction to N are test oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import intlin
 from .brauer import (
     RPlusElement,
     _phi_column,
     _phi_matrix,
+    canonical_coefficients,
     coordinates,
     glued_character,
     kernel_basis,
     pair_class,
     phi_is_zero,
-    rplus,
+    rplus_element,
 )
 from .characters import (
     Character,
@@ -152,34 +155,56 @@ class Configuration:
                 if h1 != h2:
                     yield self.witness + (h1, h2), ((h1, e1, 1), (h2, e2, -1))
 
+    @cached_property
+    def relation_coefficients(self) -> tuple:
+        """(witness, canonical coefficients in R+(G)) per relation, built
+        once and shared by every N; each Heisenberg induction of type II is
+        checked irreducible first."""
+        full = full_subgroup(self.b.parent)
+        for _, ext in self.options:
+            _check_heisenberg_irreducible(self.b, ext)
+        return tuple(
+            (
+                witness,
+                canonical_coefficients(
+                    [(pair_class(u, chi, full), sign) for u, chi, sign in terms]
+                ),
+            )
+            for witness, terms in self.relations()
+        )
+
 
 @lru_cache(maxsize=None)
 def configurations(g: Group, n: Subgroup, kind: str) -> tuple[Configuration, ...]:
     """Every configuration of family kind ("I", "II" or "III") whose floor
     (K, Z or the core K) contains N, with B over the subgroup class
-    representatives; any other kind is refused with ParseError.  A block of
-    configurations depends on B and its own subgroups only, so it is built
-    once and shared by every N whose floor test it passes."""
-    family = {"I": _type_I, "II": _type_II, "III": _type_III}.get(kind)
-    if family is None:
+    representatives; any other kind is refused with ParseError.  The
+    blocks of each B, tagged with their floors, are built once by tests
+    that do not read N, so per N only the floor test runs."""
+    blocks = {
+        "I": _type_I_blocks, "II": _type_II_blocks, "III": _type_III_blocks
+    }.get(kind)
+    if blocks is None:
         raise ParseError(f"relation kind {kind!r} is not I, II or III")
     return tuple(
-        cfg for b in subgroup_class_reps(g) for cfg in family(g, n, b)
+        cfg
+        for b in subgroup_class_reps(g)
+        for floor, block in blocks(b)
+        if floor.contains_subgroup(n)
+        for cfg in block
     )
 
 
-def _type_I(g: Group, n: Subgroup, b: Subgroup):
-    """The type I blocks of B whose K contains N."""
-    for k in _subgroups_of(g, b):
-        if (
-            _is_prime(b.order // k.order)
-            and k.contains_subgroup(n)
-            and is_normal_in(b, k)
-        ):
-            yield from _type_I_at(b, k)
-
-
 @lru_cache(maxsize=None)
+def _type_I_blocks(b: Subgroup) -> tuple:
+    """(K, block) for every K normal of prime index in B."""
+    return tuple(
+        (k, _type_I_at(b, k))
+        for k in _subgroups_of(b.parent, b)
+        if _is_prime(b.order // k.order) and is_normal_in(b, k)
+    )
+
+
 def _type_I_at(b: Subgroup, k: Subgroup) -> tuple[Configuration, ...]:
     """K normal of prime index in B; one per chi in B^*."""
     index = b.order // k.order
@@ -198,23 +223,26 @@ def _type_I_at(b: Subgroup, k: Subgroup) -> tuple[Configuration, ...]:
     )
 
 
-def _type_II(g: Group, n: Subgroup, b: Subgroup):
-    """The type II blocks of B whose Z contains N."""
+@lru_cache(maxsize=None)
+def _type_II_blocks(b: Subgroup) -> tuple:
+    """(Z, block) for every Z >= [B,B] in B with B/Z of exponent l and
+    order l^2, l prime."""
+    g = b.parent
     bb = commutator_subgroup(b, b)
+    out = []
     for z in _subgroups_of(g, b):
         index = b.order // z.order
         ell = round(index**0.5)
         if (
             ell * ell == index
             and _is_prime(ell)
-            and z.contains_subgroup(n)
             and z.contains_subgroup(bb)
             and all(g.power(x, ell) in z.element_set for x in b.elements)
         ):
-            yield from _type_II_at(b, z)
+            out.append((z, _type_II_at(b, z)))
+    return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _type_II_at(b: Subgroup, z: Subgroup) -> tuple[Configuration, ...]:
     """Z in B with B/Z elementary abelian of order l^2 (so Z >= [B,B] and
     Z is normal) and [B,B]/[Z,B] of order l; one per character eta of Z
@@ -247,14 +275,14 @@ def _type_II_at(b: Subgroup, z: Subgroup) -> tuple[Configuration, ...]:
     )
 
 
-def _type_III(g: Group, n: Subgroup, b: Subgroup):
-    """The type III blocks of B whose core K contains N."""
-    for h, k, c in type_iii_configurations(b):
-        if k.contains_subgroup(n):
-            yield from _type_III_at(b, h, k, c)
-
-
 @lru_cache(maxsize=None)
+def _type_III_blocks(b: Subgroup) -> tuple:
+    """(K, block) for every triple (H, K, C) of B."""
+    return tuple(
+        (k, _type_III_at(b, h, k, c)) for h, k, c in type_iii_configurations(b)
+    )
+
+
 def _type_III_at(
     b: Subgroup, h: Subgroup, k: Subgroup, c: Subgroup
 ) -> tuple[Configuration, ...]:
@@ -271,7 +299,6 @@ def _type_III_at(
     )
 
 
-@lru_cache(maxsize=None)
 def type_iii_configurations(b: Subgroup) -> tuple:
     """(H, K, C) triples in B: H maximal non-normal, K its core in B, C
     the unique normal subgroup with HC = B and H & C = K."""
@@ -312,27 +339,34 @@ def _check_heisenberg_irreducible(b: Subgroup, ext: Character) -> None:
 
 def _relations(g: Group, n: Subgroup, kind: str) -> list[BasicRelation]:
     """The relations of every configuration of family kind, induced up to
-    G, each checked to lie in the kernel; duplicates are dropped."""
+    G, each checked to lie in the kernel; duplicates are dropped.  A
+    configuration builds its relation elements once and a relation of G is
+    checked once, so per N only the dedupe and the test that every pair
+    lies above N run."""
     if not is_normal(g, n):
         raise NotNormal(f"{n} is not normal")
     full = full_subgroup(g)
+    checked = _kernel_checked(g)
     out: list[BasicRelation] = []
     seen: set = set()
     for cfg in configurations(g, n, kind):
-        for _, ext in cfg.options:
-            _check_heisenberg_irreducible(cfg.b, ext)
-        for witness, terms in cfg.relations():
-            elt = rplus(
-                full,
-                n,
-                [(pair_class(u, chi, full), sign) for u, chi, sign in terms],
-            )
-            if elt.coefficients in seen:
+        for witness, coeffs in cfg.relation_coefficients:
+            if coeffs in seen:
                 continue
-            seen.add(elt.coefficients)
-            _check_kernel(elt)
+            seen.add(coeffs)
+            elt = rplus_element(full, n, coeffs)
+            if coeffs not in checked:
+                _check_kernel(elt)
+                checked.add(coeffs)
             out.append(BasicRelation(kind, g, cfg.b, witness, elt))
     return out
+
+
+@lru_cache(maxsize=None)
+def _kernel_checked(g: Group) -> set:
+    """The coefficient tuples of G's relations that `_relations` has
+    checked to lie in the kernel, whatever N and family it found them in."""
+    return set()
 
 
 def gen_type_I(g: Group, n: Subgroup) -> list[BasicRelation]:

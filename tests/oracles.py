@@ -326,8 +326,8 @@ def _type_II(g: Group, n: Subgroup, b: Subgroup):
 def _type_III(g: Group, n: Subgroup, b: Subgroup):
     """H maximal non-normal in B with core K >= N and its normal complement
     C; one per chi in B^*, with mu over H-orbit representatives of (C/K)^*.
-    The (H, K, C) triples are enumerated afresh, past their cache."""
-    for h, k, c in relations.type_iii_configurations.__wrapped__(b):
+    The (H, K, C) triples are enumerated afresh, past the block cache."""
+    for h, k, c in relations.type_iii_configurations(b):
         if not k.contains_subgroup(n):
             continue
         glued = _glued_reps(h, c, "min")

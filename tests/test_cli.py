@@ -60,6 +60,13 @@ def test_verify_thm27_single_group_and_bad_selector():
     not_normal = run("relations", "gens", "S3", "--n", "0,3")
     assert not_normal.exit_code != 0
     assert "NotNormal" in not_normal.output
+    # the Delta function refuses the N that relation generation refused
+    # later, with the same one-line error
+    refused = run(
+        "extend", "run", "S3", os.path.join(GOLDEN, "s3.delta"), "--n", "0,3"
+    )
+    assert refused.exit_code == 1
+    assert refused.output == "Error: NotNormal: Subgroup(0, 3) is not normal\n"
 
 
 def test_type3_scan_reports_census():

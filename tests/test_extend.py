@@ -332,13 +332,16 @@ def test_layer_independence_is_checked_after_a_memo_hit(monkeypatch):
 
 
 # Run with and without `python -O`: lambda outside its ambient, subgroups
-# of another group, and N without an abelian layer (not normal) are typed
+# of another group, N without an abelian layer (not normal), and a Delta
+# function whose N lies in another group or is not normal are typed
 # refusals, not asserts.
 _ENGINE_REFUSALS = """
 import sys
 from monomial.catalog import catalog_group
 from monomial.errors import DomainMismatch, NotNormal
-from monomial.extend import FreeAbelianGroup, LambdaEngine, constant_delta
+from monomial.extend import (
+    DeltaFunction, FreeAbelianGroup, LambdaEngine, constant_delta, generic_delta
+)
 from monomial.groups import full_subgroup, subgroup, trivial_subgroup
 
 s3, c3 = catalog_group("S3"), catalog_group("C3")
@@ -352,6 +355,8 @@ for label, call in (
     ("foreign value", lambda: engine.value(other, other)),
     ("foreign value_rel", lambda: engine.value_rel(triv, full, other)),
     ("not normal", lambda: engine.value(c2, c2)),
+    ("foreign delta", lambda: DeltaFunction(full, other, FreeAbelianGroup(), {})),
+    ("non-normal delta", lambda: generic_delta(s3, c2)),
 ):
     try:
         print(label, "returned", call())
@@ -363,12 +368,14 @@ for label, call in (
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
 def test_engine_refusals_hold_under_optimisation(flags, run_python):
     out = run_python(flags, _ENGINE_REFUSALS)
-    assert out[:5] == [
+    assert out[:7] == [
         f"optimize {len(flags)}",
         "outside ambient DomainMismatch",
         "foreign value DomainMismatch",
         "foreign value_rel DomainMismatch",
         "not normal NotNormal",
+        "foreign delta DomainMismatch",
+        "non-normal delta NotNormal",
     ]
 
 

@@ -126,14 +126,13 @@ def test_type_III_configuration_a4():
         ]
 
 
-# configurations per (G, N, kind), their blocks per (B, floor) and the type
-# III triples per B
-_CONFIGURATION_CACHES = (
-    relations.configurations,
-    relations._type_I_at,
-    relations._type_II_at,
-    relations._type_III_at,
-    relations.type_iii_configurations,
+# every functools cache of the relations module (configurations per
+# (G, N, kind), blocks per B, kernel-checked relations per G, glued orbit
+# representatives), found by name so that no new cache is left out
+_RELATION_CACHES = tuple(
+    fn
+    for fn in vars(relations).values()
+    if hasattr(fn, "cache_clear") and fn.__module__ == relations.__name__
 )
 
 
@@ -143,9 +142,9 @@ def test_second_complement_is_refused(monkeypatch, request):
     s3 = catalog_group("S3")
     real = relations._subgroups_of
     monkeypatch.setattr(relations, "_subgroups_of", lambda g, b: real(g, b) * 2)
-    # cached configurations, blocks or triples would skip the patched
+    # cached configurations or blocks would skip the patched
     # enumeration, and the ones built with it must not outlive the test
-    for cached in _CONFIGURATION_CACHES:
+    for cached in _RELATION_CACHES:
         cached.cache_clear()
         request.addfinalizer(cached.cache_clear)
     with pytest.raises(CertificateFailed) as exc:
@@ -412,7 +411,7 @@ def test_blocks_shared_across_n_equal_per_n_enumeration(name):
     # with the blocks first built for the largest N, every (N, kind) of the
     # group reads the configurations, records and order both, and the
     # relations that the per-N oracle builds afresh for that N
-    for cached in _CONFIGURATION_CACHES:
+    for cached in _RELATION_CACHES:
         cached.cache_clear()
     g = catalog_group(name)
     for n in reversed(normal_subgroups(g)):
@@ -455,3 +454,38 @@ def test_cached_records_equal_fresh_enumeration():
                 ), (name, key)
             glued_keys += len(keys)
     assert glued_keys > 100
+
+
+@pytest.mark.parametrize("name", ["D6", "Heisenberg27"])
+def test_relation_work_is_done_once_per_group(name, monkeypatch):
+    # over every normal N, each configuration canonicalises its terms once
+    # and each distinct relation of the group is kernel-checked once: per N
+    # only the floor filter and the dedupe run
+    for cached in _RELATION_CACHES:
+        cached.cache_clear()
+    calls = {"pair_class": 0, "check": 0}
+    real_pair_class, real_check = relations.pair_class, relations._check_kernel
+
+    def pair_class(*args):
+        calls["pair_class"] += 1
+        return real_pair_class(*args)
+
+    def check(elt):
+        calls["check"] += 1
+        real_check(elt)
+
+    monkeypatch.setattr(relations, "pair_class", pair_class)
+    monkeypatch.setattr(relations, "_check_kernel", check)
+    g = catalog_group(name)
+    distinct = set()
+    for n in normal_subgroups(g):
+        distinct |= {r.element.coefficients for r in basic_relations(g, n)}
+    # every configuration's floor contains the trivial N
+    terms = sum(
+        len(signed)
+        for kind in ("I", "II", "III")
+        for cfg in relations.configurations(g, trivial_subgroup(g), kind)
+        for _, signed in cfg.relations()
+    )
+    assert len(normal_subgroups(g)) == 7
+    assert calls == {"pair_class": terms, "check": len(distinct)}
