@@ -5,12 +5,12 @@ A Delta-function assigns a value in an abelian group to every pair class
 product identities are exactly the obstruction; each is read off the
 records of one relation family from `relations.configurations`, the
 single source that also builds the relations.  Those records are built
-once per subgroup B, in blocks tagged with their floors, and shared by
-every N; they, the glued orbit representatives of the lambda recursion
-and the phi columns of the kernel check are shared with `relations`.
-When the identities hold, the lambda recursion below produces a
-well-defined multiplicative extension to arbitrary virtual characters,
-certified on the kernel generators.
+once per (B, floor) block, the first time an N lies in the floor, and
+shared by every later N; they, the glued orbit representatives of the
+lambda recursion and the phi columns of the kernel check are shared with
+`relations`.  When the identities hold, the lambda recursion below
+produces a well-defined multiplicative extension to arbitrary virtual
+characters, certified on the kernel generators.
 
 Delta and lambda serve the subgroups of one group, the Delta function's,
 so their lookups are keyed by element tuples: Delta values by (H, chi's
@@ -152,7 +152,9 @@ class DeltaFunction:
     def __post_init__(self):
         g = self.ambient.parent
         if self.lower.parent != g:
-            raise DomainMismatch(f"N = {self.lower} is not in the group of Delta")
+            raise DomainMismatch(
+                f"N = {self.lower} is not in the group of Delta"
+            )
         if not is_normal(g, self.lower):
             raise NotNormal(f"{self.lower} is not normal")
         object.__setattr__(self, "values", MappingProxyType(dict(self.values)))

@@ -3,17 +3,18 @@
 `configurations(g, n, kind)` is the single source of the instances of each
 family: the relations here and the compatibility conditions in `extend`
 both loop over its records.  A configuration depends on N only through its
-floor subgroup (K, Z or the core K), which must contain N, so the blocks
-of each subgroup B are built once, tagged with their floors, and shared by
-every N.  Each relation is an explicit element of Ker(phi) built inside B
-and pushed up by induction.  A configuration builds its relation elements
-once, and each distinct relation of the group gets its kernel check once,
-reading one cached phi column per pair class; per N only the floor filter
-and the dedupe run.  The headline verifier compares the integer lattice
-they span with the full kernel computed by linear algebra, by one
-saturation argument; the enumeration per N, lattice equality by mutual
-membership and the xi-block split of an R+ element by the orbit of its
-restriction to N are test oracles (`tests/oracles.py`).
+floor subgroup (K, Z or the core K), which must contain N, so the floors
+of each subgroup B are found once, and each floor's block is built the
+first time an N passes its floor test and shared by every later N.  Each
+relation is an explicit element of Ker(phi) built inside B and pushed up
+by induction.  A configuration builds its relation elements once, and
+each distinct relation of the group gets its kernel check once, reading
+one cached phi column per pair class; per N only the floor filter and the
+dedupe run.  The headline verifier compares the integer lattice they
+span with the full kernel computed by linear algebra, by one saturation
+argument; the enumeration per N, lattice equality by mutual membership and
+the xi-block split of an R+ element by the orbit of its restriction to N
+are test oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ class Configuration:
             (
                 witness,
                 canonical_coefficients(
-                    [(pair_class(u, chi, full), sign) for u, chi, sign in terms]
+                    [(pair_class(u, chi, full), s) for u, chi, s in terms]
                 ),
             )
             for witness, terms in self.relations()
@@ -179,32 +180,37 @@ def configurations(g: Group, n: Subgroup, kind: str) -> tuple[Configuration, ...
     """Every configuration of family kind ("I", "II" or "III") whose floor
     (K, Z or the core K) contains N, with B over the subgroup class
     representatives; any other kind is refused with ParseError.  The
-    blocks of each B, tagged with their floors, are built once by tests
-    that do not read N, so per N only the floor test runs."""
-    blocks = {
-        "I": _type_I_blocks, "II": _type_II_blocks, "III": _type_III_blocks
+    floors of each B are found once by tests that do not read N, and a
+    floor's block is built the first time an N passes its floor test, so
+    per N only the floor test runs."""
+    family = {
+        "I": (_type_I_floors, _type_I_at),
+        "II": (_type_II_floors, _type_II_at),
+        "III": (_type_III_floors, _type_III_at),
     }.get(kind)
-    if blocks is None:
+    if family is None:
         raise ParseError(f"relation kind {kind!r} is not I, II or III")
+    floors, block = family
     return tuple(
         cfg
         for b in subgroup_class_reps(g)
-        for floor, block in blocks(b)
+        for floor, args in floors(b)
         if floor.contains_subgroup(n)
-        for cfg in block
+        for cfg in block(b, *args)
     )
 
 
 @lru_cache(maxsize=None)
-def _type_I_blocks(b: Subgroup) -> tuple:
-    """(K, block) for every K normal of prime index in B."""
+def _type_I_floors(b: Subgroup) -> tuple:
+    """(K, (K,)) for every K normal of prime index in B."""
     return tuple(
-        (k, _type_I_at(b, k))
+        (k, (k,))
         for k in _subgroups_of(b.parent, b)
         if _is_prime(b.order // k.order) and is_normal_in(b, k)
     )
 
 
+@lru_cache(maxsize=None)
 def _type_I_at(b: Subgroup, k: Subgroup) -> tuple[Configuration, ...]:
     """K normal of prime index in B; one per chi in B^*."""
     index = b.order // k.order
@@ -224,8 +230,8 @@ def _type_I_at(b: Subgroup, k: Subgroup) -> tuple[Configuration, ...]:
 
 
 @lru_cache(maxsize=None)
-def _type_II_blocks(b: Subgroup) -> tuple:
-    """(Z, block) for every Z >= [B,B] in B with B/Z of exponent l and
+def _type_II_floors(b: Subgroup) -> tuple:
+    """(Z, (Z,)) for every Z >= [B,B] in B with B/Z of exponent l and
     order l^2, l prime."""
     g = b.parent
     bb = commutator_subgroup(b, b)
@@ -239,10 +245,11 @@ def _type_II_blocks(b: Subgroup) -> tuple:
             and z.contains_subgroup(bb)
             and all(g.power(x, ell) in z.element_set for x in b.elements)
         ):
-            out.append((z, _type_II_at(b, z)))
+            out.append((z, (z,)))
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _type_II_at(b: Subgroup, z: Subgroup) -> tuple[Configuration, ...]:
     """Z in B with B/Z elementary abelian of order l^2 (so Z >= [B,B] and
     Z is normal) and [B,B]/[Z,B] of order l; one per character eta of Z
@@ -276,13 +283,12 @@ def _type_II_at(b: Subgroup, z: Subgroup) -> tuple[Configuration, ...]:
 
 
 @lru_cache(maxsize=None)
-def _type_III_blocks(b: Subgroup) -> tuple:
-    """(K, block) for every triple (H, K, C) of B."""
-    return tuple(
-        (k, _type_III_at(b, h, k, c)) for h, k, c in type_iii_configurations(b)
-    )
+def _type_III_floors(b: Subgroup) -> tuple:
+    """(K, (H, K, C)) for every triple (H, K, C) of B."""
+    return tuple((k, (h, k, c)) for h, k, c in type_iii_configurations(b))
 
 
+@lru_cache(maxsize=None)
 def _type_III_at(
     b: Subgroup, h: Subgroup, k: Subgroup, c: Subgroup
 ) -> tuple[Configuration, ...]:

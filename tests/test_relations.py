@@ -127,8 +127,9 @@ def test_type_III_configuration_a4():
 
 
 # every functools cache of the relations module (configurations per
-# (G, N, kind), blocks per B, kernel-checked relations per G, glued orbit
-# representatives), found by name so that no new cache is left out
+# (G, N, kind), floors per B, blocks per (B, floor), kernel-checked
+# relations per G, glued orbit representatives), found by name so that no
+# new cache is left out
 _RELATION_CACHES = tuple(
     fn
     for fn in vars(relations).values()
@@ -142,7 +143,7 @@ def test_second_complement_is_refused(monkeypatch, request):
     s3 = catalog_group("S3")
     real = relations._subgroups_of
     monkeypatch.setattr(relations, "_subgroups_of", lambda g, b: real(g, b) * 2)
-    # cached configurations or blocks would skip the patched
+    # cached configurations, floors or blocks would skip the patched
     # enumeration, and the ones built with it must not outlive the test
     for cached in _RELATION_CACHES:
         cached.cache_clear()
@@ -489,3 +490,39 @@ def test_relation_work_is_done_once_per_group(name, monkeypatch):
     )
     assert len(normal_subgroups(g)) == 7
     assert calls == {"pair_class": terms, "check": len(distinct)}
+
+
+@pytest.mark.parametrize("name", ["D6", "S4", "Heisenberg27"])
+def test_a_block_is_built_only_for_an_n_in_its_floor(name, monkeypatch):
+    # a cold call for one N builds the blocks whose floor contains N and
+    # no other, so a first N that is not trivial does no work for the rest
+    g = catalog_group(name)
+    floor_of = {"_type_I_at": 0, "_type_II_at": 0, "_type_III_at": 1}
+    built = []
+    for fn, slot in floor_of.items():
+        real = getattr(relations, fn)
+
+        def block(b, *args, real=real, slot=slot):
+            built.append((b, args[slot]))
+            return real(b, *args)
+
+        monkeypatch.setattr(relations, fn, block)
+    skipped = total = 0
+    for n in normal_subgroups(g)[1:]:
+        for cached in _RELATION_CACHES:
+            cached.cache_clear()
+        built.clear()
+        basic_relations(g, n)
+        assert all(floor.contains_subgroup(n) for _, floor in built)
+        floors = [
+            floor
+            for b in relations.subgroup_class_reps(g)
+            for family in ("I", "II", "III")
+            for floor, _ in getattr(relations, f"_type_{family}_floors")(b)
+        ]
+        assert len(built) == sum(f.contains_subgroup(n) for f in floors)
+        skipped += len(floors) - len(built)
+        total += len(built)
+    for cached in _RELATION_CACHES:
+        cached.cache_clear()
+    assert skipped > 0 and total > 0
