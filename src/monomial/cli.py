@@ -104,6 +104,12 @@ def _parse_n(g, selector: str):
     return n
 
 
+def _parse_kinds(text: str) -> tuple[str, ...]:
+    """The comma-separated relation kinds, each stripped; an empty token is
+    kept, so that `basic_relations` refuses it."""
+    return tuple(k.strip() for k in text.split(","))
+
+
 def _parse_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise click.ClickException("q must be a prime power >= 2")
@@ -251,7 +257,7 @@ def relations():
 def relations_gens(name, n_sel, kinds, out):
     g = _resolve_group(name)
     n = _parse_n(g, n_sel)
-    kind_list = tuple(k.strip() for k in kinds.split(",") if k.strip())
+    kind_list = _parse_kinds(kinds)
     rels = basic_relations(g, n, kind_list)
     lines = [f"# {len(rels)} relations, kinds {','.join(kind_list)}"]
     for rel in rels:
@@ -271,7 +277,7 @@ def verify():
 @click.option("--kinds", default="I,II,III")
 @click.option("--out", default=None)
 def verify_thm27(name, max_order, kinds, out):
-    kind_list = tuple(k.strip() for k in kinds.split(",") if k.strip())
+    kind_list = _parse_kinds(kinds)
     lines = []
     ok = True
     for nm, g in _group_targets(name, max_order):
@@ -496,7 +502,7 @@ def _tower_issues(g, n) -> int:
 def _campaign_check(check_name, params, targets, lines) -> bool:
     ok = True
     if check_name == "thm2.7":
-        kinds = tuple(params.get("kinds", "I,II,III").split(","))
+        kinds = _parse_kinds(params.get("kinds", "I,II,III"))
         for nm, g, n in targets:
             report = verify_theorem_2_7(g, n, kinds)
             lines.append(

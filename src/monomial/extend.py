@@ -2,15 +2,16 @@
 
 A Delta-function assigns a value in an abelian group to every pair class
 [H, chi] with H above a fixed normal subgroup N.  Three families of
-product identities are exactly the obstruction; each is read off the
-records of one relation family from `relations.configurations`, the
-single source that also builds the relations.  Those records are built
-once per (B, floor) block, the first time an N lies in the floor, and
-shared by every later N; they, the glued orbit representatives of the
-lambda recursion and the phi columns of the kernel check are shared with
-`relations`.  When the identities hold, the lambda recursion below
-produces a well-defined multiplicative extension to arbitrary virtual
-characters, certified on the kernel generators.
+product identities are exactly the obstruction, and `check_conditions` is
+their one check: it reads the records of `relations.configurations`, the
+single source that also builds the relations (the glued orbit
+representatives of the lambda recursion and the phi columns of the kernel
+check are shared with `relations` too).  When the identities hold, the
+lambda recursion below produces a well-defined multiplicative extension
+to arbitrary virtual characters, certified on the kernel generators.
+`Extension.evaluate` is its one evaluation: F(H, rho) = F(x) *
+lambda_H^(-dim rho) for a presentation x of rho, with F(x) from
+`Extension.evaluate_element`.
 
 Delta and lambda serve the subgroups of one group, the Delta function's,
 so their lookups are keyed by element tuples: Delta values by (H, chi's
@@ -218,7 +219,7 @@ def generic_delta(g: Group, n: Subgroup) -> DeltaFunction:
 
 
 # ---------------------------------------------------------------------------
-# the three condition checks
+# the condition check
 
 
 def _violations(cfg, delta: DeltaFunction) -> list:
@@ -258,38 +259,15 @@ def _violations(cfg, delta: DeltaFunction) -> list:
     return out
 
 
-def _check(delta: DeltaFunction, kind: str) -> list:
+def check_conditions(delta: DeltaFunction) -> list:
+    """The violations of conditions I, II and III, in that order, over the
+    configurations of Delta's own group and N."""
     return [
         v
+        for kind in ("I", "II", "III")
         for cfg in configurations(delta.ambient.parent, delta.lower, kind)
         for v in _violations(cfg, delta)
     ]
-
-
-def check_condition_I(delta: DeltaFunction) -> list:
-    """Delta(K,chi_K) * prod Delta(B,mu) = prod Delta(B,chi mu) over
-    (B/K)^*, for every prime-index normal K >= N in every B."""
-    return _check(delta, "I")
-
-
-def check_condition_II(delta: DeltaFunction) -> list:
-    """Delta(H, eta^H) * prod_{mu in (B/H)^*} Delta(B, mu) must not depend
-    on the choice of (H, eta^H) within a Heisenberg configuration."""
-    return _check(delta, "II")
-
-
-def check_condition_III(delta: DeltaFunction) -> list:
-    """Delta(H,chi_H) * prod_mu Delta(H_mu C, mu') = prod_mu
-    Delta(H_mu C, chi mu') over H-orbit reps mu of (C/K)^*."""
-    return _check(delta, "III")
-
-
-def check_conditions(delta: DeltaFunction) -> list:
-    return (
-        check_condition_I(delta)
-        + check_condition_II(delta)
-        + check_condition_III(delta)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +339,6 @@ class LambdaEngine:
             term = vg.mul(term, self._value(prod, m, ambient, rep_choice))
             out = vg.mul(out, term)
         return out
-
-    def value_rel(self, u: Subgroup, h: Subgroup, n: Subgroup):
-        """lambda_U^H derived from the top-level values:
-        lambda_U^H = lambda_U^Omega * lambda_H^Omega^(-(H:U))."""
-        vg = self.delta.group
-        index = h.order // u.order
-        return vg.mul(
-            self.value(u, n), vg.pow(vg.inv(self.value(h, n)), index)
-        )
 
 
 def _layers(ambient: Subgroup, n: Subgroup) -> tuple:
@@ -490,25 +459,23 @@ class Extension:
     engine: LambdaEngine
 
     def evaluate(self, h: Subgroup, rho: ClassFunction, variant: int = 0):
-        """F(H, rho) via a presentation rho = sum n_i Ind_{U_i}^H(chi_i):
-        the product of (Delta(U_i,chi_i) * lambda_{U_i}^H)^{n_i}.
-        `variant` picks the presentation (see `brauer.presentation`)."""
+        """F(H, rho) = F(x) * lambda_H^(-dim rho) for the presentation x of
+        rho (`variant` picks it, see `brauer.presentation`), with dim rho =
+        sum k (H:U) over x's terms k [U, chi]: the lambda_U^H =
+        lambda_U * lambda_H^(-(H:U)) of every term, folded into one power."""
         if rho.domain != h:
             raise DomainMismatch(f"rho lives on {rho.domain}, not on {h}")
         vg, n = self.delta.group, self.delta.lower
-        pres = presentation(rho, n, variant=variant)
-        out = vg.one()
-        for cls, k in pres.coefficients:
-            u, chi = cls.subgroup, cls.char
-            term = vg.mul(
-                self.delta.value(u, chi), self.engine.value_rel(u, h, n)
-            )
-            out = vg.mul(out, vg.pow(term, k))
+        x = presentation(rho, n, variant=variant)
+        out = self.evaluate_element(x)
+        if x.coefficients:
+            dim = sum(k * (h.order // c.subgroup.order) for c, k in x.coefficients)
+            out = vg.mul(out, vg.pow(self.engine.value(h, n), -dim))
         return out
 
     def evaluate_element(self, x: RPlusElement):
-        """The raw multiplicative evaluation of an R+ element at the top
-        level (H = Omega)."""
+        """F(x) = the product of (Delta(U,chi) * lambda_U)^k over the terms
+        k [U, chi] of an R+ element, lambda_U taken in Delta's ambient."""
         vg = self.delta.group
         out = vg.one()
         for cls, k in x.coefficients:

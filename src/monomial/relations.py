@@ -1,20 +1,18 @@
 """The three families of kernel relations and the kernel-equality check.
 
 `configurations(g, n, kind)` is the single source of the instances of each
-family: the relations here and the compatibility conditions in `extend`
-both loop over its records.  A configuration depends on N only through its
-floor subgroup (K, Z or the core K), which must contain N, so the floors
-of each subgroup B are found once, and each floor's block is built the
-first time an N passes its floor test and shared by every later N.  Each
-relation is an explicit element of Ker(phi) built inside B and pushed up
-by induction.  A configuration builds its relation elements once, and
-each distinct relation of the group gets its kernel check once, reading
-one cached phi column per pair class; per N only the floor filter and the
-dedupe run.  The headline verifier compares the integer lattice they
-span with the full kernel computed by linear algebra, by one saturation
-argument; the enumeration per N, lattice equality by mutual membership and
-the xi-block split of an R+ element by the orbit of its restriction to N
-are test oracles (`tests/oracles.py`).
+family: `basic_relations(g, n, kinds)`, the single entry for the relations
+of any families, and the compatibility conditions in `extend` both loop
+over its records.  A configuration depends on N only through its floor
+subgroup (K, Z or the core K), which must contain N, so the floors of each
+subgroup B are found once and each floor's block is built the first time
+an N passes its floor test.  Each relation is an explicit element of
+Ker(phi) built inside B and pushed up by induction; its element is built
+once per configuration and kernel-checked once per group, so per N only
+the floor filter and the dedupe run.  The headline verifier compares the
+integer lattice they span with the full kernel by one saturation argument;
+the enumeration per N, lattice equality by mutual membership and the
+xi-block split of an R+ element are test oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ from .groups import (
 @dataclass(frozen=True)
 class BasicRelation:
     kind: str  # "I" | "II" | "III"
-    ambient: Group = field(compare=False)
     b: Subgroup = field(compare=False)
     witness: tuple = field(compare=False)
     element: RPlusElement
@@ -212,7 +209,8 @@ def _type_I_floors(b: Subgroup) -> tuple:
 
 @lru_cache(maxsize=None)
 def _type_I_at(b: Subgroup, k: Subgroup) -> tuple[Configuration, ...]:
-    """K normal of prime index in B; one per chi in B^*."""
+    """K normal of prime index in B; one per chi in B^*, with the relation
+    [K, chi_K] - sum over mu in (B/K)^* of [B, chi mu]."""
     index = b.order // k.order
     rel_chars = characters_trivial_on(b, k)
     if len(rel_chars) != index:
@@ -253,8 +251,9 @@ def _type_II_floors(b: Subgroup) -> tuple:
 def _type_II_at(b: Subgroup, z: Subgroup) -> tuple[Configuration, ...]:
     """Z in B with B/Z elementary abelian of order l^2 (so Z >= [B,B] and
     Z is normal) and [B,B]/[Z,B] of order l; one per character eta of Z
-    that kills [Z,B] but not [B,B].  Empty when [B,B]/[Z,B] has another
-    order."""
+    that kills [Z,B] but not [B,B], with the relations [H1, eta^H1] -
+    [H2, eta^H2] for the extensions of eta to two of the l + 1 subgroups
+    between Z and B.  Empty when [B,B]/[Z,B] has another order."""
     ell = round((b.order // z.order) ** 0.5)
     bb = commutator_subgroup(b, b)
     zb = commutator_subgroup(z, b)
@@ -292,8 +291,9 @@ def _type_III_floors(b: Subgroup) -> tuple:
 def _type_III_at(
     b: Subgroup, h: Subgroup, k: Subgroup, c: Subgroup
 ) -> tuple[Configuration, ...]:
-    """H maximal non-normal in B with core K and its normal complement C;
-    one per chi in B^*, with mu over H-orbit representatives of (C/K)^*."""
+    """H maximal non-normal in B with core K and its normal complement C
+    (HC = B, H & C = K); one per chi in B^*, with the relation [H, chi_H] -
+    sum over H-orbit representatives mu of (C/K)^* of [H_mu C, chi mu']."""
     glued = _glued_reps(h, c, "min")
     return tuple(
         Configuration(
@@ -345,10 +345,8 @@ def _check_heisenberg_irreducible(b: Subgroup, ext: Character) -> None:
 
 def _relations(g: Group, n: Subgroup, kind: str) -> list[BasicRelation]:
     """The relations of every configuration of family kind, induced up to
-    G, each checked to lie in the kernel; duplicates are dropped.  A
-    configuration builds its relation elements once and a relation of G is
-    checked once, so per N only the dedupe and the test that every pair
-    lies above N run."""
+    G, each checked to lie in the kernel once per group; duplicates are
+    dropped."""
     if not is_normal(g, n):
         raise NotNormal(f"{n} is not normal")
     full = full_subgroup(g)
@@ -364,7 +362,7 @@ def _relations(g: Group, n: Subgroup, kind: str) -> list[BasicRelation]:
             if coeffs not in checked:
                 _check_kernel(elt)
                 checked.add(coeffs)
-            out.append(BasicRelation(kind, g, cfg.b, witness, elt))
+            out.append(BasicRelation(kind, cfg.b, witness, elt))
     return out
 
 
@@ -375,41 +373,20 @@ def _kernel_checked(g: Group) -> set:
     return set()
 
 
-def gen_type_I(g: Group, n: Subgroup) -> list[BasicRelation]:
-    """[K, chi_K] - sum over (B/K)^* of [B, chi mu], for K normal of prime
-    index in B with K >= N, induced up from every B."""
-    return _relations(g, n, "I")
-
-
-def gen_type_II(g: Group, n: Subgroup) -> list[BasicRelation]:
-    """[H1, eta^H1] - [H2, eta^H2] for Heisenberg configurations Z < B with
-    B/Z elementary of order l^2 and commutator quotient of order l."""
-    return _relations(g, n, "II")
-
-
-def gen_type_III(g: Group, n: Subgroup) -> list[BasicRelation]:
-    """[H, chi_H] - sum over H-orbit reps mu of (C/K)^* of
-    [H_mu C, chi * mu'], for maximal non-normal H < B with core K >= N and
-    the unique normal complement C (HC = B, H & C = K)."""
-    return _relations(g, n, "III")
-
-
 def basic_relations(
     g: Group, n: Subgroup, kinds=("I", "II", "III")
 ) -> list[BasicRelation]:
-    """The relations of the families in `kinds`, each I, II or III; any
-    other kind is refused with ParseError."""
-    bad = next((k for k in kinds if k not in ("I", "II", "III")), None)
-    if bad is not None:
-        raise ParseError(f"relation kind {bad!r} is not I, II or III")
-    out = []
-    if "I" in kinds:
-        out.extend(gen_type_I(g, n))
-    if "II" in kinds:
-        out.extend(gen_type_II(g, n))
-    if "III" in kinds:
-        out.extend(gen_type_III(g, n))
-    return out
+    """The relations of the families in `kinds`, in the order I, II, III;
+    no kind, or one other than I, II or III, is refused with ParseError."""
+    if not kinds:
+        raise ParseError("no relation kind given")
+    for kind in kinds:
+        if kind not in ("I", "II", "III"):
+            raise ParseError(f"relation kind {kind!r} is not I, II or III")
+    return [
+        rel for kind in ("I", "II", "III") if kind in kinds
+        for rel in _relations(g, n, kind)
+    ]
 
 
 # ---------------------------------------------------------------------------

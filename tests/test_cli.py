@@ -188,6 +188,39 @@ def test_unknown_relation_kind_is_refused(tmp_path):
         assert "ParseError: relation kind 'IV'" in _one_error_line(run(*args))
 
 
+# An empty kind is a typo too: each path ends in one ParseError line, with
+# and without `python -O`, where it once printed no relations or a failed
+# Theorem 2.7 verdict.
+_EMPTY_KINDS = """
+import os, sys, tempfile
+from click.testing import CliRunner
+from monomial.cli import main
+
+camp = os.path.join(tempfile.mkdtemp(), "c.camp")
+with open(camp, "w") as handle:
+    handle.write("target S3 N=trivial\\ncheck thm2.7 kinds=,\\n")
+print("optimize", sys.flags.optimize)
+for args in (["relations", "gens", "S3", "--kinds", ""],
+             ["verify", "thm27", "S3", "--kinds", ","],
+             ["verify", "thm27", "S3", "--kinds", "I,,II"],
+             ["campaign", "run", camp]):
+    result = CliRunner().invoke(main, args)
+    print(result.exit_code, " | ".join(result.output.splitlines()))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_empty_relation_kind_is_refused(flags, run_python):
+    refusal = "ParseError: relation kind '' is not I, II or III"
+    assert run_python(flags, _EMPTY_KINDS)[:5] == [
+        f"optimize {len(flags)}",
+        f"1 Error: {refusal}",
+        f"1 Error: {refusal}",
+        f"1 Error: {refusal}",
+        f"1 thm2.7 error {refusal} | RESULT fail",
+    ]
+
+
 def test_unknown_check_is_refused_before_any_check_runs(tmp_path, monkeypatch):
     # running thm2.7 would raise TypeError, a traceback, not an Error: line
     monkeypatch.setattr(cli, "verify_theorem_2_7", None)

@@ -10,6 +10,7 @@ from monomial.brauer import (
     glued_character,
     pair_class,
     pair_classes,
+    presentation,
 )
 from monomial.catalog import catalog_group, catalog_names
 from monomial.characters import (
@@ -27,9 +28,6 @@ from monomial.extend import (
     LambdaEngine,
     _minimal_abelian_layers,
     _violations,
-    check_condition_I,
-    check_condition_II,
-    check_condition_III,
     check_conditions,
     constant_delta,
     delta_function,
@@ -95,43 +93,55 @@ def test_delta_function_basics():
         partial.value(full, characters_of(full)[1])
 
 
+def _condition(kind, delta):
+    """The violations of condition `kind` alone, read off check_conditions."""
+    return [v for v in check_conditions(delta) if v["condition"] == kind]
+
+
 def test_condition_I_constant_and_generic():
     c4 = catalog_group("C4")
     triv = trivial_subgroup(c4)
-    assert check_condition_I(constant_delta(c4, triv, FreeAbelianGroup())) == []
-    violations = check_condition_I(generic_delta(c4, triv))
+    assert _condition("I", constant_delta(c4, triv, FreeAbelianGroup())) == []
+    violations = _condition("I", generic_delta(c4, triv))
     assert violations
-    assert all(v["condition"] == "I" for v in violations)
     # C2 is too small to separate the generic function: the only instance
     # of the identity is trivially true
     c2 = catalog_group("C2")
-    assert check_condition_I(generic_delta(c2, trivial_subgroup(c2))) == []
+    assert _condition("I", generic_delta(c2, trivial_subgroup(c2))) == []
 
 
 def test_condition_II_vacuous_and_d4():
     s3 = catalog_group("S3")
     assert (
-        check_condition_II(generic_delta(s3, trivial_subgroup(s3))) == []
+        _condition("II", generic_delta(s3, trivial_subgroup(s3))) == []
     )
     d4 = catalog_group("D4")
     triv = trivial_subgroup(d4)
-    assert check_condition_II(constant_delta(d4, triv, FreeAbelianGroup())) == []
-    violations = check_condition_II(generic_delta(d4, triv))
+    assert _condition("II", constant_delta(d4, triv, FreeAbelianGroup())) == []
+    violations = _condition("II", generic_delta(d4, triv))
     assert violations
-    assert all(v["condition"] == "II" for v in violations)
 
 
 def test_condition_III_vacuous_and_s3():
     q8 = catalog_group("Q8")
     assert (
-        check_condition_III(generic_delta(q8, trivial_subgroup(q8))) == []
+        _condition("III", generic_delta(q8, trivial_subgroup(q8))) == []
     )
     s3 = catalog_group("S3")
     triv = trivial_subgroup(s3)
-    assert check_condition_III(constant_delta(s3, triv, FreeAbelianGroup())) == []
-    violations = check_condition_III(generic_delta(s3, triv))
+    assert _condition("III", constant_delta(s3, triv, FreeAbelianGroup())) == []
+    violations = _condition("III", generic_delta(s3, triv))
     assert violations
-    assert all(v["condition"] == "III" for v in violations)
+
+
+def test_check_conditions_lists_the_families_in_order():
+    # one list, family by family in the order I, II, III: the generic
+    # function on S4 violates all three
+    s4 = catalog_group("S4")
+    violations = check_conditions(generic_delta(s4, trivial_subgroup(s4)))
+    kinds = [v["condition"] for v in violations]
+    assert kinds == sorted(kinds, key=("I", "II", "III").index)
+    assert set(kinds) == {"I", "II", "III"}
 
 
 def test_constant_delta_extends_everywhere():
@@ -232,6 +242,57 @@ def test_uniqueness_and_variants():
     generic = generic_delta(s3, triv)
     forced = Extension(generic, LambdaEngine(generic, check_independence=False))
     assert not uniqueness_check(forced)
+
+
+def _per_term_evaluate(ext, h, rho, variant):
+    """F(H, rho) term by term: the product over the presentation's terms
+    k [U, chi] of (Delta(U, chi) * lambda_U * lambda_H^(-(H:U)))^k."""
+    delta, engine = ext.delta, ext.engine
+    vg, n = delta.group, delta.lower
+    out = vg.one()
+    for cls, k in presentation(rho, n, variant=variant).coefficients:
+        u = cls.subgroup
+        lam_h = vg.pow(vg.inv(engine.value(h, n)), h.order // u.order)
+        term = vg.mul(vg.mul(delta.value(u, cls.char), engine.value(u, n)), lam_h)
+        out = vg.mul(out, vg.pow(term, k))
+    return out
+
+
+@pytest.mark.parametrize(
+    "model, kw",
+    [
+        ("kummer", dict(p=7, f=1, ell=3)),
+        ("bikummer", dict(p=7, f=1, ell=3)),
+        ("unramified", dict(p=2, f=1, degree=3)),
+        ("s3", dict(p=2, f=1, ell=3)),
+        ("generic", None),
+    ],
+    ids=["kummer", "bikummer", "unramified", "s3", "generic-C2"],
+)
+def test_folded_evaluation_matches_per_term_formula(model, kw):
+    # F(H, rho) = F(x) * lambda_H^(-dim rho) against the per-term formula,
+    # for every class representative H >= N, every irreducible of
+    # H/[N,N] and both presentations.  Every lambda of the four Galois
+    # models is 1, so the generic C2, whose lambda_e is its free symbol,
+    # is the case that reads the lambda_H power.
+    if kw is None:
+        c2 = catalog_group("C2")
+        delta = generic_delta(c2, trivial_subgroup(c2))
+    else:
+        delta = galois_delta(model, **kw)
+    ext, vg, n = extend(delta), delta.group, delta.lower
+    cases = 0
+    for h in subgroup_class_reps(delta.ambient.parent):
+        if not h.contains_subgroup(n):
+            continue
+        for rho in irreducibles_mod_derived(h, n):
+            for variant in (0, 1):
+                assert vg.eq(
+                    ext.evaluate(h, rho, variant),
+                    _per_term_evaluate(ext, h, rho, variant),
+                ), (h.elements, rho.values, variant)
+                cases += 1
+    assert cases >= 4
 
 
 def test_irreducibles_mod_derived():
@@ -353,7 +414,6 @@ print("optimize", sys.flags.optimize)
 for label, call in (
     ("outside ambient", lambda: engine._value(full, triv, a3, "min")),
     ("foreign value", lambda: engine.value(other, other)),
-    ("foreign value_rel", lambda: engine.value_rel(triv, full, other)),
     ("not normal", lambda: engine.value(c2, c2)),
     ("foreign delta", lambda: DeltaFunction(full, other, FreeAbelianGroup(), {})),
     ("non-normal delta", lambda: generic_delta(s3, c2)),
@@ -368,11 +428,10 @@ for label, call in (
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
 def test_engine_refusals_hold_under_optimisation(flags, run_python):
     out = run_python(flags, _ENGINE_REFUSALS)
-    assert out[:7] == [
+    assert out[:6] == [
         f"optimize {len(flags)}",
         "outside ambient DomainMismatch",
         "foreign value DomainMismatch",
-        "foreign value_rel DomainMismatch",
         "not normal NotNormal",
         "foreign delta DomainMismatch",
         "non-normal delta NotNormal",

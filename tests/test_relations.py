@@ -23,9 +23,6 @@ from monomial.groups import (
 )
 from monomial.relations import (
     basic_relations,
-    gen_type_I,
-    gen_type_II,
-    gen_type_III,
     type_iii_configurations,
     verify_theorem_2_7,
 )
@@ -41,7 +38,7 @@ from oracles import (
 
 def test_type_I_c2():
     c2 = catalog_group("C2")
-    rels = gen_type_I(c2, trivial_subgroup(c2))
+    rels = basic_relations(c2, trivial_subgroup(c2), ("I",))
     # both characters of C2 give the same element; dedup leaves one
     assert len(rels) == 1
     x = rels[0].element
@@ -51,32 +48,32 @@ def test_type_I_c2():
 
 def test_type_I_trivial_group():
     c1 = catalog_group("C1")
-    assert gen_type_I(c1, trivial_subgroup(c1)) == []
+    assert basic_relations(c1, trivial_subgroup(c1), ("I",)) == []
 
 
 def test_type_I_s3_with_lower_bound():
     s3 = catalog_group("S3")
     a3 = subgroup(s3, [0, 1, 2])
-    rels = gen_type_I(s3, a3)
+    rels = basic_relations(s3, a3, ("I",))
     assert len(rels) == 1
     x = rels[0].element
     assert all(cls.subgroup.contains_subgroup(a3) for cls in x.support())
     assert brauer_map(x).is_zero()
     # without the bound there are more (every B with a prime-index normal)
-    rels_free = gen_type_I(s3, trivial_subgroup(s3))
+    rels_free = basic_relations(s3, trivial_subgroup(s3), ("I",))
     assert len(rels_free) > 1
 
 
 def test_type_II_empty_for_abelian_and_s3():
     for name in ("C8", "C12", "S3"):
         g = catalog_group(name)
-        assert gen_type_II(g, trivial_subgroup(g)) == []
+        assert basic_relations(g, trivial_subgroup(g), ("II",)) == []
 
 
 def test_type_II_d4_and_q8():
     for name in ("D4", "Q8"):
         g = catalog_group(name)
-        rels = gen_type_II(g, trivial_subgroup(g))
+        rels = basic_relations(g, trivial_subgroup(g), ("II",))
         # three intermediate groups, six ordered pairs, one eta
         assert len(rels) == 6
         for r in rels:
@@ -87,13 +84,13 @@ def test_type_II_d4_and_q8():
 def test_type_III_empty_for_nilpotent():
     for name in ("C9", "D4", "Q8", "Heisenberg27"):
         g = catalog_group(name)
-        assert gen_type_III(g, trivial_subgroup(g)) == []
+        assert basic_relations(g, trivial_subgroup(g), ("III",)) == []
 
 
 def test_type_III_s3():
     s3 = catalog_group("S3")
     full = full_subgroup(s3)
-    rels = gen_type_III(s3, trivial_subgroup(s3))
+    rels = basic_relations(s3, trivial_subgroup(s3), ("III",))
     assert len(rels) == 2
     c2 = subgroup(s3, [0, 3])
     a3 = subgroup(s3, [0, 1, 2])
@@ -113,7 +110,7 @@ def test_type_III_configuration_a4():
     assert len(configs) == 4
     for h, k, c in configs:
         assert h.order == 3 and k.order == 1 and c.order == 4
-    rels = gen_type_III(a4, trivial_subgroup(a4))
+    rels = basic_relations(a4, trivial_subgroup(a4), ("III",))
     # three characters of A4, three distinct relations
     assert len(rels) == 3
     for r in rels:
@@ -149,7 +146,7 @@ def test_second_complement_is_refused(monkeypatch, request):
         cached.cache_clear()
         request.addfinalizer(cached.cache_clear)
     with pytest.raises(CertificateFailed) as exc:
-        gen_type_III(s3, trivial_subgroup(s3))
+        basic_relations(s3, trivial_subgroup(s3), ("III",))
     b, h, candidates = exc.value.witness
     assert b == full_subgroup(s3) and h.order == 2
     assert candidates == (subgroup(s3, [0, 1, 2]),) * 2
@@ -159,8 +156,8 @@ def test_twist_stability():
     s3 = catalog_group("S3")
     triv = trivial_subgroup(s3)
     full = full_subgroup(s3)
-    for kind, gen in (("I", gen_type_I), ("III", gen_type_III)):
-        rels = gen(s3, triv)
+    for kind in ("I", "III"):
+        rels = basic_relations(s3, triv, (kind,))
         span = [coordinates(r.element, triv) for r in rels]
         for eta in characters_of(full):
             for r in rels:
@@ -179,7 +176,7 @@ def test_induction_stability():
     for mu in characters_of(a3):
         inner = inner - generator(a3, mu, a3)
     pushed = induce_rplus(inner, full_subgroup(s3))
-    rels = gen_type_I(s3, triv)
+    rels = basic_relations(s3, triv, ("I",))
     assert any(r.element == pushed for r in rels)
 
 
@@ -187,7 +184,7 @@ def test_xi_decompose():
     s3 = catalog_group("S3")
     a3 = subgroup(s3, [0, 1, 2])
     full = full_subgroup(s3)
-    rels = gen_type_I(s3, a3)
+    rels = basic_relations(s3, a3, ("I",))
     x = rels[0].element
     blocks = xi_decompose(x, a3)
     assert len(blocks) == 1
@@ -256,9 +253,12 @@ def test_unknown_relation_kind_is_refused():
     # a kind outside I/II/III is a typo, refused by name, not dropped
     s3 = catalog_group("S3")
     n = trivial_subgroup(s3)
-    for kinds in (("IV",), ("I", "iii")):
+    for kinds in (("IV",), ("I", "iii"), ("I", "")):
         with pytest.raises(ParseError, match=repr(kinds[-1])):
             basic_relations(s3, n, kinds)
+    # no kind at all is refused too, not read as "no relations"
+    with pytest.raises(ParseError, match="no relation kind"):
+        basic_relations(s3, n, ())
     with pytest.raises(ParseError, match="'IV'"):
         verify_theorem_2_7(s3, n, ("I", "IV"))
     with pytest.raises(ParseError, match="'IV'"):
@@ -291,7 +291,7 @@ except CertificateFailed as exc:
 
 real = relations.basic_relations
 relations.basic_relations = lambda g, n, kinds: real(g, n, kinds) + [
-    relations.BasicRelation("I", g, full, (), bogus)
+    relations.BasicRelation("I", full, (), bogus)
 ]
 try:
     relations.verify_theorem_2_7(g, n)
@@ -309,7 +309,7 @@ except CertificateFailed as exc:
     print("irreducibility refused", exc.witness[0] == full)
 
 extend.basic_relations = lambda g, n: real(g, n) + [
-    relations.BasicRelation("I", g, full, (), bogus)
+    relations.BasicRelation("I", full, (), bogus)
 ]
 try:
     extend.extend(extend.constant_delta(g, n, extend.FreeAbelianGroup()))
@@ -387,7 +387,7 @@ for chi in characters_of(full)[1:]:
         break
 print("optimize", sys.flags.optimize)
 print("rank and divisors pass", span.rank == rank and span.is_saturated)
-swapped = rest + [relations.BasicRelation("I", g, full, (), bogus)]
+swapped = rest + [relations.BasicRelation("I", full, (), bogus)]
 relations.basic_relations = lambda g, n, kinds: swapped
 try:
     relations.verify_theorem_2_7(g, n)

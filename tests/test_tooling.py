@@ -9,6 +9,11 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "monomial"
 MAX_ASSERTS = 0
 
 
+# The line count of src/monomial/*.py.  Like MAX_ASSERTS it may only go
+# down: a change that grows src raises it and says why in CHANGES.md.
+MAX_SRC_LINES = 5633
+
+
 def _trees():
     return {
         path.stem: ast.parse(path.read_text(), str(path))
@@ -24,6 +29,11 @@ def test_bare_asserts_do_not_grow():
         if isinstance(node, ast.Assert)
     ]
     assert len(found) <= MAX_ASSERTS, found
+
+
+def test_src_lines_do_not_grow():
+    lines = sum(len(p.read_text().splitlines()) for p in SRC.glob("*.py"))
+    assert lines <= MAX_SRC_LINES, lines
 
 
 # Top-level names of the package that nothing in the package calls: the
